@@ -76,16 +76,16 @@ std::string describe_engine_config(const engine::EngineConfig& cfg) {
   char buffer[384];
   std::snprintf(buffer, sizeof(buffer),
                 "%zu workers, max_batch %zu, max_wait %llu us%s, queue_cap %zu "
-                "(class caps %zu:%zu), bulk %s, sessions %s, deadline %llu us, "
-                "backend %s, cache %zu, kernel %s",
+                "(class caps %zu:%zu), deadline %llu us, backend %s, cache %zu, "
+                "kernel %s",
                 cfg.workers, cfg.max_batch,
                 static_cast<unsigned long long>(cfg.max_wait_us),
                 cfg.adaptive_wait ? " (adaptive)" : "", cfg.queue_cap,
                 cfg.interactive_cap, cfg.bulk_cap,
-                cfg.edf_bulk ? "edf" : "fifo",
-                cfg.coalesce_sessions ? "coalesced" : "serialized",
                 static_cast<unsigned long long>(cfg.default_deadline_us),
-                engine::backend_kind_name(cfg.backend), cfg.cache_capacity,
+                cfg.precision == serve::OptimizedNetwork::Precision::kInt8 ? "quantized"
+                                                                           : "dense",
+                cfg.cache_capacity,
                 kernels::isa_name(kernels::active_isa()));
   return buffer;
 }
@@ -259,8 +259,12 @@ MixedLoadReport run_mixed_load(LoadTarget& target,
           ++mine.expired;
         } else {
           // Shed, not retried: bulk under overload is load the fleet chose
-          // to drop, and the counter is the measurement.
+          // to drop, and the counter is the measurement. The client backs
+          // off before its next scan: a shed flood that resubmits at once
+          // spins on the shared queue lock and, on a host with fewer cores
+          // than threads, takes the CPU from the workers serving it.
           ++mine.rejected;
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
       }
       flush();

@@ -54,13 +54,11 @@ core::NobleImuConfig noble_imu_config();
 /// `defaults` (every field falls back to the passed default):
 /// NOBLE_ENGINE_WORKERS, NOBLE_ENGINE_MAX_BATCH, NOBLE_ENGINE_MAX_WAIT_US,
 /// NOBLE_ENGINE_QUEUE_CAP, NOBLE_ENGINE_ADAPTIVE (0/1),
-/// NOBLE_ENGINE_BACKEND (dense|quantized), NOBLE_ENGINE_CACHE_CAP,
+/// NOBLE_ENGINE_BACKEND (dense|quantized: fp32 or int8 plan precision),
+/// NOBLE_ENGINE_CACHE_CAP,
 /// NOBLE_ENGINE_CACHE_STEP_DB, NOBLE_ENGINE_CLASS_CAPS
 /// ("interactive:bulk" queue-slot caps, 0 = uncapped, e.g. "0:256"),
-/// NOBLE_ENGINE_DEADLINE_US (engine-wide default deadline budget, 0 = off),
-/// NOBLE_ENGINE_EDF (0/1: bulk lane FIFO vs earliest-deadline-first) and
-/// NOBLE_ENGINE_COALESCE (0/1: cross-session IMU batching vs
-/// serialized-per-track draining).
+/// NOBLE_ENGINE_DEADLINE_US (engine-wide default deadline budget, 0 = off).
 /// Also applies the process-wide NOBLE_KERNEL override (scalar|avx2|auto).
 /// `defaults.workers == 0` means auto: size the pool to min(hardware, 8),
 /// at least 2 — what the throughput benches want on any host.

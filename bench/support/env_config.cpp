@@ -102,10 +102,12 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
   cfg.queue_cap = static_cast<std::size_t>(
       integer("NOBLE_ENGINE_QUEUE_CAP", static_cast<long>(defaults.queue_cap)));
   cfg.adaptive_wait = flag("NOBLE_ENGINE_ADAPTIVE", defaults.adaptive_wait);
-  cfg.backend = text("NOBLE_ENGINE_BACKEND",
-                     engine::backend_kind_name(defaults.backend)) == "quantized"
-                    ? engine::BackendKind::kQuantized
-                    : engine::BackendKind::kDense;
+  using Precision = serve::OptimizedNetwork::Precision;
+  cfg.precision =
+      text("NOBLE_ENGINE_BACKEND",
+           defaults.precision == Precision::kInt8 ? "quantized" : "dense") == "quantized"
+          ? Precision::kInt8
+          : Precision::kFloat32;
   cfg.cache_capacity = static_cast<std::size_t>(
       integer("NOBLE_ENGINE_CACHE_CAP", static_cast<long>(defaults.cache_capacity)));
   cfg.cache_key_step_db =
@@ -126,8 +128,6 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
   }
   cfg.default_deadline_us = static_cast<std::uint64_t>(integer(
       "NOBLE_ENGINE_DEADLINE_US", static_cast<long>(defaults.default_deadline_us)));
-  cfg.edf_bulk = flag("NOBLE_ENGINE_EDF", defaults.edf_bulk);
-  cfg.coalesce_sessions = flag("NOBLE_ENGINE_COALESCE", defaults.coalesce_sessions);
   return cfg;
 }
 

@@ -1,12 +1,12 @@
 // Fleet tour — one campus, many buildings, one router:
 //  1. train a NObLe Wi-Fi model on a synthetic campus,
-//  2. stand up a noble::fleet::Router with two shards: "bldg-A" on the
-//     dense float32 backend with the fingerprint cache enabled, "bldg-B"
-//     on the int8 quantized backend with two replica engines,
+//  2. stand up a noble::fleet::Router with two shards: "bldg-A" serving
+//     the fp32 plan with the fingerprint cache enabled, "bldg-B" serving
+//     the int8 plan with two replica engines,
 //  3. route every test scan to both shards,
 //  4. gate: every "bldg-A" fix must be bit-identical to direct locate();
 //     every "bldg-B" fix must be bit-identical to direct quantized
-//     inference (the per-backend equivalence contract),
+//     inference (the per-precision equivalence contract),
 //  5. resubmit the "bldg-A" scans to show the cache fast path, then print
 //     the merged FleetStats surface.
 //
@@ -59,11 +59,12 @@ int main() {
   shard_b.engines = 2;  // kQueueFull spills to the sibling replica engine
   shard_b.engine.workers = 1;
   shard_b.engine.max_batch = 16;
-  shard_b.engine.backend = engine::BackendKind::kQuantized;
+  shard_b.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
   router.add_shard(shard_b, localizer);
 
-  // Per-backend references for the equivalence gate.
-  const engine::QuantizedBackend quantized_reference(localizer);
+  // Direct int8 reference for the equivalence gate.
+  const engine::PlanBackend quantized_reference(
+      localizer, serve::OptimizedNetwork::Precision::kInt8);
 
   std::vector<serve::RssiVector> queries;
   for (const auto& sample : experiment.split.test.samples)
@@ -94,7 +95,7 @@ int main() {
   }
   std::printf("equivalence: %zu fixes checked, %zu mismatches%s\n", checked,
               mismatched,
-              mismatched == 0 ? " (routed == direct, per backend)" : "");
+              mismatched == 0 ? " (routed == direct, per precision)" : "");
 
   // 5. Cache fast path: the same scans again — now resident at admission.
   for (const auto& q : queries) gate("bldg-A", q, localizer.locate(q));

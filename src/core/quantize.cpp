@@ -3,9 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "kernels/kernels.h"
 #include "nn/dense.h"
-#include "nn/network.h"
 
 namespace noble::core {
 
@@ -197,60 +195,6 @@ QuantizedDense quantize_dense(const nn::Dense& layer) {
     }
   }
   return out;
-}
-
-void quantized_dense_infer(const QuantizedDense& layer, const linalg::Mat& x,
-                           linalg::Mat& y) {
-  // Per-row dynamic quantization, int32 accumulation and dequant all live in
-  // the dispatched kernel now; the bias rides the epilogue. Zero rows still
-  // quantize to zero (row scale 0) so the output degenerates to the bias,
-  // exactly as this loop always behaved.
-  kernels::QuantizedView view;
-  view.weights = layer.weights.data();
-  view.scales = layer.scales.data();
-  view.in_dim = layer.in_dim;
-  view.out_dim = layer.out_dim;
-  kernels::Epilogue ep;
-  ep.bias = layer.bias.data();
-  kernels::quantized_forward(x, view, ep, y);
-}
-
-QuantizedNetwork::QuantizedNetwork(const nn::Sequential& net) : net_(&net) {
-  stages_.resize(net.layer_count());
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    if (const auto* dense = dynamic_cast<const nn::Dense*>(&net.layer(i))) {
-      stages_[i] = quantize_dense(*dense);
-      ++num_quantized_;
-    }
-  }
-  NOBLE_ENSURES(num_quantized_ >= 1);  // a network with no dense layers has no GEMM to quantize
-}
-
-linalg::Mat QuantizedNetwork::predict(const linalg::Mat& x) const {
-  NOBLE_EXPECTS(!stages_.empty());
-  linalg::Mat cur, next;
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    // Stage 0 reads `x` in place — both infer paths take separate in/out
-    // matrices, so the input never needs a deep copy.
-    const linalg::Mat& in = i == 0 ? x : cur;
-    if (stages_[i].has_value()) {
-      quantized_dense_infer(*stages_[i], in, next);
-    } else {
-      net_->layer(i).infer(in, next);
-    }
-    std::swap(cur, next);
-  }
-  return cur;
-}
-
-std::size_t QuantizedNetwork::quantized_parameter_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& stage : stages_) {
-    if (!stage.has_value()) continue;
-    bytes += stage->weights.size() * sizeof(std::int8_t) +
-             stage->scales.size() * sizeof(float) + stage->bias.size() * sizeof(float);
-  }
-  return bytes;
 }
 
 }  // namespace noble::core

@@ -9,17 +9,16 @@
 // decoding predicted logits back to (building, floor, position).
 //
 // The second half of the module quantizes the *network* rather than the
-// space: per-output-channel symmetric int8 weights plus a per-row dynamic
-// activation scale give a deterministic integer forward path
-// (QuantizedNetwork) that the engine's quantized replica backend serves
-// from. Per-row activation scaling is what makes the path batch-invariant:
-// a query's logits do not depend on what else was coalesced into its
-// micro-batch, which is the property the engine equivalence harness checks.
+// space: per-output-channel symmetric int8 weights, which the serving plan
+// compiler (serve::OptimizedNetwork, Precision::kInt8) packs and runs with a
+// per-row dynamic activation scale. Per-row activation scaling is what
+// makes that path batch-invariant: a query's logits do not depend on what
+// else was coalesced into its micro-batch, which is the property the
+// engine equivalence harness checks.
 #ifndef NOBLE_CORE_QUANTIZE_H_
 #define NOBLE_CORE_QUANTIZE_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "geo/grid.h"
@@ -27,7 +26,6 @@
 
 namespace noble::nn {
 class Dense;
-class Sequential;
 }  // namespace noble::nn
 
 namespace noble::core {
@@ -151,37 +149,6 @@ struct QuantizedDense {
 
 /// Quantizes a fitted dense layer's weights (symmetric, per output channel).
 QuantizedDense quantize_dense(const nn::Dense& layer);
-
-/// Integer dense forward with per-row dynamic activation quantization:
-/// each input row is scaled to int8 by its own max-abs, accumulated in
-/// int32 against the int8 weights and dequantized per output channel. Rows
-/// are processed independently, so results are batch-invariant and fully
-/// deterministic.
-void quantized_dense_infer(const QuantizedDense& layer, const linalg::Mat& x,
-                           linalg::Mat& y);
-
-/// A Sequential's inference path with every Dense layer swapped for its int8
-/// quantization; all other layers (batch norm, activations) run their normal
-/// float `infer`. Holds a pointer to the source network for those
-/// pass-through layers — the network must outlive the QuantizedNetwork.
-class QuantizedNetwork {
- public:
-  explicit QuantizedNetwork(const nn::Sequential& net);
-
-  /// Mixed int8/float forward; row-independent (see quantized_dense_infer).
-  linalg::Mat predict(const linalg::Mat& x) const;
-
-  /// Dense layers that were quantized.
-  std::size_t quantized_layer_count() const { return num_quantized_; }
-  /// Bytes of quantized weight storage (int8 weights + float scales/bias).
-  std::size_t quantized_parameter_bytes() const;
-
- private:
-  const nn::Sequential* net_;
-  /// Aligned with the source network's layers; engaged for quantized stages.
-  std::vector<std::optional<QuantizedDense>> stages_;
-  std::size_t num_quantized_ = 0;
-};
 
 }  // namespace noble::core
 

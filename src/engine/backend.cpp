@@ -1,41 +1,26 @@
 #include "engine/backend.h"
 
-#include "common/check.h"
-
 namespace noble::engine {
 
-const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kDense:
-      return "dense";
-    case BackendKind::kQuantized:
-      return "quantized";
-  }
-  return "unknown";
+namespace {
+
+std::shared_ptr<const serve::OptimizedNetwork> plan_for(
+    const serve::WifiLocalizer& localizer, PlanBackend::Precision precision) {
+  // fp32 reuses the plan the localizer compiled at load; int8 is the one
+  // extra compile, done once here and shared by every clone.
+  return precision == PlanBackend::Precision::kFloat32
+             ? localizer.plan()
+             : serve::optimize_network(localizer.model().network(), precision);
 }
 
-DenseBackend::DenseBackend(const serve::WifiLocalizer& localizer)
-    : localizer_(std::make_shared<const serve::WifiLocalizer>(
-          serve::WifiLocalizer::from_model(localizer.model()))) {}
+}  // namespace
 
-std::vector<serve::Fix> DenseBackend::locate_batch(
-    std::span<const serve::RssiVector> queries) const {
-  return localizer_->locate_batch(queries);
-}
-
-std::unique_ptr<WifiBackend> DenseBackend::clone() const {
-  // Replicas share the immutable localizer (and its pre-packed fp32 plan):
-  // cloning is one shared_ptr copy, never a model copy or weight re-pack.
-  return std::unique_ptr<WifiBackend>(new DenseBackend(localizer_));
-}
-
-QuantizedBackend::QuantizedBackend(const serve::WifiLocalizer& localizer)
+PlanBackend::PlanBackend(const serve::WifiLocalizer& localizer, Precision precision)
     : localizer_(std::make_shared<const serve::WifiLocalizer>(
           serve::WifiLocalizer::from_model(localizer.model()))),
-      plan_(serve::optimize_network(localizer_->model().network(),
-                                    serve::OptimizedNetwork::Precision::kInt8)) {}
+      plan_(plan_for(*localizer_, precision)) {}
 
-std::vector<serve::Fix> QuantizedBackend::locate_batch(
+std::vector<serve::Fix> PlanBackend::locate_batch(
     std::span<const serve::RssiVector> queries) const {
   std::vector<serve::Fix> out;
   if (queries.empty()) return out;
@@ -47,22 +32,12 @@ std::vector<serve::Fix> QuantizedBackend::locate_batch(
   return out;
 }
 
-std::unique_ptr<WifiBackend> QuantizedBackend::clone() const {
-  // Replicas share the immutable localizer and the pre-packed int8 plan:
-  // cloning is two shared_ptr copies, never a re-quantization.
-  return std::unique_ptr<WifiBackend>(new QuantizedBackend(localizer_, plan_));
+std::unique_ptr<WifiBackend> PlanBackend::clone() const {
+  return std::unique_ptr<WifiBackend>(new PlanBackend(localizer_, plan_));
 }
 
-std::unique_ptr<WifiBackend> make_backend(BackendKind kind,
-                                          const serve::WifiLocalizer& localizer) {
-  switch (kind) {
-    case BackendKind::kDense:
-      return std::make_unique<DenseBackend>(localizer);
-    case BackendKind::kQuantized:
-      return std::make_unique<QuantizedBackend>(localizer);
-  }
-  NOBLE_CHECK(false);  // unreachable: enum is exhaustive
-  return nullptr;
+std::string PlanBackend::name() const {
+  return plan_->precision() == Precision::kInt8 ? "quantized" : "dense";
 }
 
 }  // namespace noble::engine

@@ -1,9 +1,6 @@
 // noble::engine backends — the replica abstraction the worker pool serves
 // from.
 //
-// PR 3 hard-coded the worker replica type to serve::WifiLocalizer; every
-// alternate forward path (quantized, future accelerator kernels) and every
-// layer above the engine (the fleet router) was blocked on that coupling.
 // A WifiBackend is an opaque batched-locate provider — the standard shape
 // of production inference runtimes, where every kernel sits behind one
 // uniform batched-op signature:
@@ -17,6 +14,10 @@
 // answer bit-identically to the original. That is what keeps the engine's
 // equivalence contract ("routed == direct, however requests were batched")
 // checkable per backend.
+//
+// PlanBackend is the one built-in implementation: a compiled
+// serve::OptimizedNetwork plan at either precision. The interface stays so
+// tests can inject fakes (a deliberately slow replica, for instance).
 #ifndef NOBLE_ENGINE_BACKEND_H_
 #define NOBLE_ENGINE_BACKEND_H_
 
@@ -25,8 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "core/quantize.h"
 #include "serve/fix.h"
+#include "serve/optimized.h"
 #include "serve/wifi_localizer.h"
 
 namespace noble::engine {
@@ -47,86 +48,44 @@ class WifiBackend {
 
   /// Replication for the worker pool (one replica per worker). Clones must
   /// be bit-identical providers: clone()->locate_batch(q) == locate_batch(q)
-  /// for every q. Since PR 6 the built-in backends share their immutable
-  /// pre-packed weight state across clones via shared_ptr — a clone is two
-  /// pointer copies, never a weight re-pack or re-quantization.
+  /// for every q.
   virtual std::unique_ptr<WifiBackend> clone() const = 0;
 
   /// Stable identifier for telemetry and bench output.
   virtual std::string name() const = 0;
 };
 
-/// Backend selector carried by EngineConfig.
-enum class BackendKind {
-  kDense,      ///< float32 forward through serve::WifiLocalizer (the default)
-  kQuantized,  ///< int8 forward via the pre-packed quantized kernel plan
-};
-
-/// Human-readable backend kind ("dense" / "quantized").
-const char* backend_kind_name(BackendKind kind);
-
-/// Float32 replica: serves through a serve::WifiLocalizer and its pre-packed
-/// fp32 plan. The localizer (weights included) is immutable and shared
-/// across every clone.
-class DenseBackend final : public WifiBackend {
+/// The serving replica: the localizer's featurization and logit decoding
+/// around one compiled plan. fp32 serves from the localizer's own plan
+/// (bit-identical to WifiLocalizer::locate_batch); int8 compiles one
+/// quantized plan at construction (per-output-channel int8 weights, per-row
+/// dynamic activation scales), so its positions differ from fp32 by
+/// quantization error but are bit-identical across replicas and batchings.
+/// The localizer and plan are immutable and shared by every clone: a clone
+/// is two pointer copies, never a weight re-pack or re-quantization.
+class PlanBackend final : public WifiBackend {
  public:
+  using Precision = serve::OptimizedNetwork::Precision;
+
   /// Deep-copies the localizer's model once (shared-nothing with the
   /// original); clones of this backend then share that copy.
-  explicit DenseBackend(const serve::WifiLocalizer& localizer);
+  explicit PlanBackend(const serve::WifiLocalizer& localizer,
+                       Precision precision = Precision::kFloat32);
 
   std::vector<serve::Fix> locate_batch(
       std::span<const serve::RssiVector> queries) const override;
   std::size_t input_dim() const override { return localizer_->num_aps(); }
   std::unique_ptr<WifiBackend> clone() const override;
-  std::string name() const override { return "dense"; }
+  /// "dense" (fp32) or "quantized" (int8) — the NOBLE_ENGINE_BACKEND values.
+  std::string name() const override;
 
-  /// The packed fp32 plan this replica serves from — same object across
-  /// clones (the no-re-pack contract is testable by pointer equality).
-  std::shared_ptr<const serve::OptimizedNetwork> plan() const {
-    return localizer_->plan();
-  }
-
- private:
-  explicit DenseBackend(std::shared_ptr<const serve::WifiLocalizer> shared)
-      : localizer_(std::move(shared)) {}
-
-  std::shared_ptr<const serve::WifiLocalizer> localizer_;
-};
-
-/// Int8 replica: same featurization and logit decoding as the dense path,
-/// but the forward runs through the pre-packed int8 kernel plan
-/// (per-output-channel int8 weights, per-row dynamic activation scales —
-/// bit-identical to core::QuantizedNetwork by the OptimizedNetwork
-/// contract). Positions differ from the dense backend by quantization
-/// error; the engine contract it upholds is bit-identity with *direct*
-/// quantized inference on the same replica family, checked by the same
-/// harness the dense backend passes.
-class QuantizedBackend final : public WifiBackend {
- public:
-  /// Quantizes and pre-packs the model's dense layers once; clones share the
-  /// resulting immutable int8 plan.
-  explicit QuantizedBackend(const serve::WifiLocalizer& localizer);
-
-  std::vector<serve::Fix> locate_batch(
-      std::span<const serve::RssiVector> queries) const override;
-  std::size_t input_dim() const override { return localizer_->num_aps(); }
-  std::unique_ptr<WifiBackend> clone() const override;
-  std::string name() const override { return "quantized"; }
-
-  /// Bytes of pre-packed int8 weight storage, scales included (vs the float
-  /// model's parameter_bytes()).
-  std::size_t quantized_parameter_bytes() const {
-    return plan_->stats().packed_bytes;
-  }
-
-  /// The packed int8 plan this replica serves from — same object across
-  /// clones (the no-re-quantization contract is testable by pointer
-  /// equality).
+  /// The packed plan this replica serves from — same object across clones
+  /// (the no-re-pack contract is testable by pointer equality).
   std::shared_ptr<const serve::OptimizedNetwork> plan() const { return plan_; }
 
  private:
-  QuantizedBackend(std::shared_ptr<const serve::WifiLocalizer> localizer,
-                   std::shared_ptr<const serve::OptimizedNetwork> plan)
+  PlanBackend(std::shared_ptr<const serve::WifiLocalizer> localizer,
+              std::shared_ptr<const serve::OptimizedNetwork> plan)
       : localizer_(std::move(localizer)), plan_(std::move(plan)) {}
 
   // plan_ borrows heap-stable layer state from localizer_'s network, so the
@@ -134,10 +93,6 @@ class QuantizedBackend final : public WifiBackend {
   std::shared_ptr<const serve::WifiLocalizer> localizer_;
   std::shared_ptr<const serve::OptimizedNetwork> plan_;
 };
-
-/// Builds the backend `kind` over a deep copy of `localizer`'s model.
-std::unique_ptr<WifiBackend> make_backend(BackendKind kind,
-                                          const serve::WifiLocalizer& localizer);
 
 }  // namespace noble::engine
 

@@ -16,13 +16,14 @@
 //  * entries may carry a deadline: ones that expire before a consumer
 //    reaches them are handed back separately instead of wasting a slot in
 //    the batch (the caller fails their promises; no GEMM is spent on them);
-//  * optionally the bulk lane orders by earliest deadline first (EDF)
-//    instead of arrival: under a deadline-diverse backlog, draining the
-//    most urgent work first converts entries that FIFO would have let
-//    expire into completions — more goodput from the same queue. Ties (and
-//    deadline-less entries, which sort last) break by admission sequence,
-//    so the order is total and deterministic. Interactive stays FIFO: its
-//    product is arrival-order latency, not deadline goodput.
+//  * the bulk lane orders by earliest deadline first (EDF): under a
+//    deadline-diverse backlog, draining the most urgent work first converts
+//    entries that arrival order would have let expire into completions —
+//    more goodput from the same queue. Ties (and deadline-less entries,
+//    which sort last) break by admission sequence, so the order is total
+//    and deterministic, and with equal or absent deadlines it is exactly
+//    arrival order. Interactive stays FIFO: its product is arrival-order
+//    latency, not deadline goodput.
 //
 // Consumers block in `pop_batch`, which gathers up to `max_items` entries,
 // waiting at most `max_wait` after the first entry for stragglers — the
@@ -91,11 +92,8 @@ class BoundedQueue {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// `edf_bulk` switches the bulk lane from FIFO to earliest-deadline-first
-  /// ordering (see the header comment); the interactive lane is always FIFO.
-  explicit BoundedQueue(std::size_t capacity, ClassCaps caps = {},
-                        bool edf_bulk = false)
-      : capacity_(capacity), caps_(caps), edf_bulk_(edf_bulk) {
+  explicit BoundedQueue(std::size_t capacity, ClassCaps caps = {})
+      : capacity_(capacity), caps_(caps) {
     NOBLE_EXPECTS(capacity >= 1);
     NOBLE_EXPECTS(caps.interactive <= capacity);
     NOBLE_EXPECTS(caps.bulk <= capacity);
@@ -116,7 +114,7 @@ class BoundedQueue {
       if (class_cap > 0 && lane.size() >= class_cap) return PushResult::kFull;
       if (size_locked() >= capacity_) return PushResult::kFull;
       Entry entry{std::move(item), deadline, next_seq_++};
-      if (edf_bulk_ && cls == RequestClass::kBulk) {
+      if (cls == RequestClass::kBulk) {
         // Sorted insertion keeps pop_batch a plain front-pop: the deque is
         // always ordered by (deadline, seq), deadline-less entries last.
         // O(lane) memmove per insert is fine at queue-cap scale (~1k small
@@ -212,9 +210,6 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
   const ClassCaps& class_caps() const { return caps_; }
 
-  /// True when the bulk lane drains earliest-deadline-first.
-  bool edf_bulk() const { return edf_bulk_; }
-
  private:
   struct Entry {
     T item;
@@ -233,11 +228,10 @@ class BoundedQueue {
 
   const std::size_t capacity_;
   const ClassCaps caps_;
-  const bool edf_bulk_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   /// One lane per class; index 0 (interactive) always drains first.
-  /// Interactive is FIFO; bulk is FIFO or deadline-ordered (edf_bulk_).
+  /// Interactive is FIFO; bulk is deadline-ordered.
   std::array<std::deque<Entry>, kNumRequestClasses> lanes_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;

@@ -16,14 +16,13 @@ constexpr auto us_since = [](const std::chrono::steady_clock::time_point& t0) {
 }  // namespace
 
 Engine::Engine(const serve::WifiLocalizer& wifi, EngineConfig config)
-    : Engine(make_backend(config.backend, wifi), config) {}
+    : Engine(std::make_unique<PlanBackend>(wifi, config.precision), config) {}
 
 Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
     : config_(config),
       queue_(config.queue_cap,
              ClassCaps{std::min(config.interactive_cap, config.queue_cap),
-                       std::min(config.bulk_cap, config.queue_cap)},
-             config.edf_bulk),
+                       std::min(config.bulk_cap, config.queue_cap)}),
       batch_wait_us_(config.max_wait_us) {
   NOBLE_EXPECTS(prototype != nullptr);
   NOBLE_EXPECTS(config_.workers >= 1);
@@ -34,8 +33,8 @@ Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
     cache_.emplace(config_.cache_capacity, config_.cache_shards,
                    FingerprintHash{1.0 / config_.cache_key_step_db});
   }
-  // Shared-nothing: each worker serves from its own deep copy, so the
-  // batched hot path touches no cross-thread state at all.
+  // One replica per worker; clones share only immutable state (the
+  // localizer and its packed plan), so the batched hot path takes no locks.
   replicas_.reserve(config_.workers);
   replicas_.push_back(std::move(prototype));
   for (std::size_t i = 1; i < config_.workers; ++i) {
@@ -214,7 +213,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
   if (!state->scheduled) {
     // Session tokens carry the class of the update that scheduled them (so
     // a bulk sweep's token queues behind interactive traffic) but never a
-    // deadline — per-update deadlines are enforced in drain_session.
+    // deadline — per-update deadlines are enforced in drain_sessions.
     const PushResult pushed =
         queue_.try_push(Request{SessionWork{session}}, options.request_class);
     if (pushed != PushResult::kOk) {
@@ -361,8 +360,9 @@ void Engine::worker_loop(std::size_t worker_index) {
       }
     }
     // Partition the takes: independent Wi-Fi queries coalesce into one
-    // network pass; session tokens are drained per-track afterwards (their
-    // ordering lives in the per-session FIFO, not the shared queue).
+    // network pass; session tokens are drained afterwards in batched IMU
+    // passes (their ordering lives in the per-session FIFO, not the shared
+    // queue).
     std::vector<WifiRequest> wifi;
     std::vector<SessionId> tokens;
     for (Request& request : batch) {
@@ -373,13 +373,7 @@ void Engine::worker_loop(std::size_t worker_index) {
       }
     }
     if (!wifi.empty()) run_wifi_batch(replica, std::move(wifi), dequeued_ns);
-    if (config_.coalesce_sessions && tokens.size() > 1) {
-      // Cross-session coalescing: one batched IMU pass per round over every
-      // track this pop's tokens cover, instead of a per-track drain.
-      drain_sessions(tokens, dequeued_ns);
-    } else {
-      for (const SessionId id : tokens) drain_session(id, dequeued_ns);
-    }
+    if (!tokens.empty()) drain_sessions(tokens, dequeued_ns);
   }
 }
 
@@ -495,52 +489,6 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
   }
 }
 
-void Engine::drain_session(SessionId id, std::uint64_t dequeued_ns) {
-  std::shared_ptr<SessionState> state;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end()) return;  // closed while the token was queued
-    state = it->second;
-  }
-  // Per-session mutex held across the updates: serialization per track is
-  // the session contract, and only same-session submissions wait on it.
-  std::lock_guard<std::mutex> lock(state->mu);
-  while (!state->pending.empty()) {
-    PendingUpdate update = std::move(state->pending.front());
-    state->pending.pop_front();
-    if (update.deadline.has_value() && *update.deadline <= Clock::now()) {
-      // Expired before its turn: never applied to the track, so later
-      // updates see the session state without it. Its trace is dropped, not
-      // finished — stage latency describes served requests.
-      expire_promise(update.promise, update.cls);
-      continue;
-    }
-    if (update.trace != nullptr) {
-      // A session update has no separate batch-assembly step; kAssembled
-      // marks the moment its turn in the FIFO comes up.
-      update.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
-      update.trace->stamp(obs::Mark::kAssembled);
-    }
-    const auto submitted_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            update.submitted_at.time_since_epoch())
-            .count());
-    const double wait_us =
-        dequeued_ns > submitted_ns ? (dequeued_ns - submitted_ns) / 1000.0 : 0.0;
-    feed_queue_wait(wait_us);
-    const serve::Fix fix = state->session.update(update.segment);
-    if (update.trace != nullptr) update.trace->stamp(obs::Mark::kComputed);
-    record_completion(update.submitted_at, update.cls, wait_us);
-    update.promise.set_value(fix);
-    if (update.trace != nullptr && !update.trace->external_respond) {
-      update.trace->stamp(obs::Mark::kResponded);
-      obs::Tracer::global().finish(*update.trace);
-    }
-  }
-  state->scheduled = false;
-}
-
 void Engine::drain_sessions(const std::vector<SessionId>& ids,
                             std::uint64_t dequeued_ns) {
   // shared_ptr copies keep every state alive across the drain even if the
@@ -566,9 +514,9 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
   // flight per session, so no other worker can reach these sessions, and
   // the TrackingSession object itself is only ever touched by the token
   // holder. A track retires — atomically with observing its FIFO empty —
-  // by clearing `scheduled` under its mutex, exactly drain_session's
-  // handoff, after which the next track() submission enqueues a fresh
-  // token (possibly for another worker; this one no longer touches it).
+  // by clearing `scheduled` under its mutex, after which the next track()
+  // submission enqueues a fresh token (possibly for another worker; this
+  // one no longer touches it).
   std::vector<char> active(tracks.size(), 1);
   std::vector<PendingUpdate> updates;
   std::vector<serve::TrackingSession*> sessions;
@@ -589,8 +537,10 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         PendingUpdate update = std::move(state.pending.front());
         state.pending.pop_front();
         if (update.deadline.has_value() && *update.deadline <= now) {
-          // Expired before its turn: never applied to the track (same
-          // contract as drain_session); its successor gets this round's slot.
+          // Expired before its turn: never applied to the track, so later
+          // updates see the session state without it. Its trace is dropped,
+          // not finished (stage latency describes served requests), and its
+          // successor gets this round's slot.
           expire_promise(update.promise, update.cls);
           continue;
         }
@@ -669,11 +619,10 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
 }
 
 void Engine::record_completion(const Clock::time_point& submitted_at,
-                               RequestClass cls, double queue_wait_us) {
+                               RequestClass cls) {
   const double latency_us = us_since(submitted_at);  // clock read outside the lock
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++completed_;
-  if (queue_wait_us >= 0.0) queue_wait_hist_.record(queue_wait_us);
   class_latency_[request_class_index(cls)].record(latency_us);
 }
 

@@ -11,12 +11,11 @@
 //      └──────────── std::future<Fix> fulfilled per micro-batch
 //
 // Requests are coalesced under a max-batch-size / max-wait-deadline policy
-// and executed on a worker pool over shared-nothing WifiBackend replicas
-// (see engine/backend.h: float32 dense by default, int8 quantized as an
-// alternate, both deep-copied so there is no cross-worker sharing and no
-// locks on the hot path). Output is bit-identical to direct inference on
-// the same backend for every request regardless of how requests get
-// batched.
+// and executed on a worker pool over WifiBackend replicas (see
+// engine/backend.h: one compiled plan, fp32 by default or int8, immutable
+// and shared so there are no locks on the hot path). Output is
+// bit-identical to direct inference on the same backend for every request
+// regardless of how requests get batched.
 //
 // Admission control is class- and deadline-aware. Every submission carries
 // a RequestClass — kInteractive (a user is waiting) or kBulk (background
@@ -25,7 +24,7 @@
 //    may occupy, so a bulk flood sheds (kQueueFull) while interactive
 //    admissions keep their reserved headroom;
 //  - workers drain interactive entries first within the batching window,
-//    bulk fills the remainder of each micro-batch;
+//    bulk fills the remainder of each micro-batch, earliest deadline first;
 //  - a request whose deadline passes before a worker reaches it never
 //    spends a GEMM slot: at submit() an already-expired deadline returns
 //    SubmitStatus::kExpired, and an accepted request that expires while
@@ -43,7 +42,8 @@
 //
 // A session registry multiplexes many concurrent IMU TrackingSessions
 // behind the same worker pool: per-session FIFOs keep each track's updates
-// ordered while different tracks proceed in parallel.
+// ordered while different tracks proceed in parallel, and the pending
+// updates of every session one pop covers are served in batched IMU passes.
 //
 // Telemetry: `stats()` snapshots queue depth, accept/reject/complete
 // counters, the micro-batch-size distribution and end-to-end latency
@@ -136,7 +136,7 @@ struct Submission {
 };
 
 struct EngineConfig {
-  /// Worker threads; each owns one shared-nothing WifiBackend replica.
+  /// Worker threads; each owns one WifiBackend replica.
   std::size_t workers = 2;
   /// Most requests coalesced into one network pass.
   std::size_t max_batch = 32;
@@ -159,9 +159,11 @@ struct EngineConfig {
   /// Most not-yet-processed segments one tracking session may buffer before
   /// its submissions are rejected with kQueueFull.
   std::size_t session_backlog = 64;
-  /// Replica forward path (dense float32 or int8 quantized); ignored by the
-  /// backend-injection constructor, which receives a prototype directly.
-  BackendKind backend = BackendKind::kDense;
+  /// Arithmetic of the replicas' compiled plan (fp32, or int8 quantized);
+  /// ignored by the backend-injection constructor, which receives a
+  /// prototype directly.
+  serve::OptimizedNetwork::Precision precision =
+      serve::OptimizedNetwork::Precision::kFloat32;
   /// Load-adaptive batching window: when the queue runs deeper than
   /// max_batch — or when the measured per-request queue wait (the obs
   /// queue_wait stage, tracked engine-side as an always-on EWMA) runs past
@@ -172,21 +174,6 @@ struct EngineConfig {
   /// queue that hovers shallow because workers drain it instantly still
   /// reads depth 1–2 while requests sit a full window each.
   bool adaptive_wait = false;
-  /// Order the bulk queue lane earliest-deadline-first instead of FIFO
-  /// (ties and deadline-less entries break by admission sequence, so
-  /// draining stays deterministic). Under a deadline-diverse bulk backlog
-  /// EDF converts would-be DeadlineExpired futures into completed fixes at
-  /// the same offered load; with uniform (or no) deadlines it degrades to
-  /// exactly FIFO, which is why it defaults on. Scheduling only: any
-  /// request that is served is still bit-identical to direct inference.
-  bool edf_bulk = true;
-  /// Coalesce pending IMU updates from *different* sessions into one
-  /// batched network pass (the session-path analogue of Wi-Fi
-  /// micro-batching). The per-session FIFOs still serialize each track and
-  /// every module in the IMU path is row-independent, so coalescing
-  /// changes when updates run, never their results. Off = drain tracks one
-  /// at a time (the serialized-per-track baseline the bench compares).
-  bool coalesce_sessions = true;
   /// Fingerprint-cache entries at admission control; 0 disables the cache.
   std::size_t cache_capacity = 0;
   /// Lock shards of the fingerprint cache (contention, not semantics).
@@ -224,8 +211,8 @@ struct EngineStats {
   std::uint64_t expired = 0;    ///< deadline-expired requests, both flavors
   std::uint64_t completed = 0;  ///< futures fulfilled (cache hits included)
   std::uint64_t batches = 0;    ///< Wi-Fi micro-batches executed
-  /// Coalesced IMU passes executed (cross-session batches; every session
-  /// update is served by exactly one, of size >= 1).
+  /// Batched IMU passes executed (every session update is served by exactly
+  /// one, of size >= 1; a pass spans every session one pop covered).
   std::uint64_t imu_batches = 0;
   std::size_t queue_depth = 0;  ///< instantaneous shared-queue depth
   /// Per-class splits of the admission counters and latencies. The totals
@@ -275,8 +262,8 @@ using SessionId = std::uint64_t;
 
 class Engine {
  public:
-  /// Wi-Fi-only engine: builds the config-selected backend over `wifi`,
-  /// replicates it once per worker (deep copies) and starts the pool.
+  /// Wi-Fi-only engine: builds a PlanBackend at config.precision over a deep
+  /// copy of `wifi`, replicates it once per worker and starts the pool.
   explicit Engine(const serve::WifiLocalizer& wifi, EngineConfig config = {});
 
   /// Engine that additionally serves streaming IMU sessions. The single
@@ -288,7 +275,7 @@ class Engine {
   /// Backend-injection constructor: the worker pool replicates `prototype`
   /// via clone() (prototype becomes replica 0). This is the seam custom
   /// forward paths (tests, future accelerator backends) plug into;
-  /// config.backend is ignored.
+  /// config.precision is ignored.
   explicit Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config = {});
 
   /// Drains and joins (see shutdown()).
@@ -391,18 +378,18 @@ class Engine {
   /// serves every trace in the batch (kDequeued is a batch-level boundary).
   void run_wifi_batch(const WifiBackend& replica, std::vector<WifiRequest> batch,
                       std::uint64_t dequeued_ns);
-  void drain_session(SessionId id, std::uint64_t dequeued_ns);
-  /// Cross-session coalesced drain: takes one pending update per session
-  /// per round and serves each round with a single batched IMU pass
-  /// (ImuLocalizer::update_sessions). Session locks are taken only to pop
-  /// or retire — never across the batched pass — so producers keep filling
-  /// the per-session FIFOs while the GEMM runs. The one-token-in-flight
-  /// invariant still makes this worker the sole consumer of every track it
-  /// drains, so per-session ordering is exactly drain_session's.
+  /// Session drain for every token one pop returned (a lone token included):
+  /// takes one pending update per session per round and serves each round
+  /// with a single batched IMU pass (ImuLocalizer::update_sessions).
+  /// Session locks are taken only to pop or retire — never across the
+  /// batched pass — so producers keep filling the per-session FIFOs while
+  /// the GEMM runs. The one-token-in-flight invariant makes this worker the
+  /// sole consumer of every track it drains, so each track's updates apply
+  /// strictly in FIFO order.
   void drain_sessions(const std::vector<SessionId>& ids, std::uint64_t dequeued_ns);
-  /// `queue_wait_us` < 0 means "never queued" (cache hits) — no wait sample.
-  void record_completion(const Clock::time_point& submitted_at, RequestClass cls,
-                         double queue_wait_us = -1.0);
+  /// Counts a request that never queued (a cache hit): latency only, no
+  /// queue-wait sample.
+  void record_completion(const Clock::time_point& submitted_at, RequestClass cls);
   /// Folds one batch's mean measured queue wait into the EWMA the adaptive
   /// window controller reads.
   void feed_queue_wait(double mean_wait_us);

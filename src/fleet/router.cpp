@@ -52,6 +52,14 @@ std::shared_ptr<Router::Shard> Router::build_shard(const ShardConfig& config,
         std::string_view(reinterpret_cast<const char*>(&imu_digest), sizeof imu_digest),
         shard->config.artifact_digest);
   }
+  // The digest names the fixes a shard serves, not only its weights: an
+  // int8 shard answers differently from an fp32 shard of the same model, so
+  // it chains a precision tag (fp32 digests stay the bare model identity).
+  // Without it a cross-node spill could land on the other precision.
+  if (config.engine.precision == serve::OptimizedNetwork::Precision::kInt8) {
+    shard->config.artifact_digest =
+        common::fnv1a64("precision:int8", shard->config.artifact_digest);
+  }
   shard->generation = next_generation_.fetch_add(1);
   shard->engines.reserve(config.engines);
   for (std::size_t i = 0; i < config.engines; ++i) {

@@ -50,12 +50,13 @@ struct ShardConfig {
   std::string key;
   /// Engines replicating this shard's model; > 1 adds kQueueFull headroom.
   std::size_t engines = 1;
-  /// Per-engine knobs (backend kind, cache, batching, workers).
+  /// Per-engine knobs (precision, cache, batching, workers).
   engine::EngineConfig engine;
   /// Content identity of the model artifact(s) this shard serves. Filled by
-  /// the router at add_shard/hot_swap from the localizers' digests (callers
-  /// never set it): the value two nodes compare to decide whether a spilled
-  /// request lands on bit-identical weights.
+  /// the router at add_shard/hot_swap from the localizers' digests, with a
+  /// precision tag chained on for int8 shards (callers never set it): the
+  /// value two nodes compare to decide whether a spilled request lands on a
+  /// replica that answers bit-identically.
   std::uint64_t artifact_digest = 0;
 };
 

@@ -29,8 +29,8 @@ float quantize_row_int8(const float* x, std::size_t k, std::size_t padded_k,
                         std::int8_t* q);
 
 /// Dequantizes one row of int32 accumulators: y[j] = acc[j] * (row_scale *
-/// scales[j]) — the historical quantized_dense_infer expression, bias left
-/// to the epilogue.
+/// scales[j]) — the int8 dequantization expression, bias left to the
+/// epilogue.
 void dequantize_row(const std::int32_t* acc, float row_scale, const float* scales,
                     std::size_t n, float* y);
 

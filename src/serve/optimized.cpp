@@ -94,8 +94,7 @@ OptimizedNetwork::OptimizedNetwork(const nn::Sequential& net, Precision precisio
     ++stats_.fused_dense;
     steps_.push_back(std::move(step));
   }
-  // An int8 plan with no dense layer has no GEMM to quantize — same contract
-  // as core::QuantizedNetwork.
+  // An int8 plan with no dense layer has no GEMM to quantize.
   NOBLE_ENSURES(precision_ == Precision::kFloat32 || stats_.fused_dense >= 1);
 }
 

@@ -17,9 +17,11 @@
 //     BatchNorm1d::infer expression — after the GEMM.
 //   - Fused activations run the literal activation-layer expressions.
 // `predict` is therefore bit-identical to running the original Sequential
-// (fp32 plans) or core::QuantizedNetwork (int8 plans), which is what lets
-// the serving stack adopt plans with zero training-code changes and keeps
-// the engine's tolerance-zero equivalence harness meaningful.
+// (fp32 plans), or to the layer-by-layer int8 reference — every Dense via
+// core::quantize_dense and the unpacked kernels::quantized_forward, every
+// other layer via Layer::infer (int8 plans). That is what lets the serving
+// stack adopt plans with zero training-code changes and keeps the engine's
+// tolerance-zero equivalence harness meaningful.
 //
 // Plans are immutable after construction and safe to share across threads
 // and replicas (engine backends share one plan via shared_ptr instead of
@@ -57,7 +59,7 @@ class OptimizedNetwork {
   /// Arithmetic the plan's Dense steps run in.
   enum class Precision {
     kFloat32,  ///< packed fp32 GEMM — bit-identical to Sequential::predict
-    kInt8,     ///< packed int8 GEMM — bit-identical to QuantizedNetwork::predict
+    kInt8,     ///< packed int8 GEMM — bit-identical to the unpacked int8 kernel
   };
 
   /// Compiles a plan from a fitted network. For kInt8 the network must

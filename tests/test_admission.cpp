@@ -156,7 +156,7 @@ std::vector<serve::RssiVector> query_pool(std::size_t count) {
 
 bool fixes_identical(const serve::Fix& a, const serve::Fix& b) { return a == b; }
 
-/// Dense backend that sleeps per batch — holds a 1-worker engine busy long
+/// fp32 plan backend that sleeps per batch — holds a 1-worker engine busy long
 /// enough for a queued deadline to lapse deterministically.
 class SlowBackend final : public WifiBackend {
  public:
@@ -177,7 +177,7 @@ class SlowBackend final : public WifiBackend {
  private:
   const serve::WifiLocalizer& inner_localizer() const { return reference_localizer(); }
 
-  DenseBackend inner_;
+  PlanBackend inner_;
   std::chrono::milliseconds nap_;
 };
 

@@ -476,6 +476,61 @@ TEST(ClusterSpill, DigestMismatchIsRefusedWithWrongArtifact) {
   EXPECT_EQ(status, wire::Status::kNoShard);
 }
 
+// An int8 shard and an fp32 shard of one model serve different fixes, so
+// the spill digest guard must tell them apart: an fp32-digest spill into an
+// int8 shard is refused, and an int8 node with only an fp32 peer sheds
+// honestly instead of spilling.
+TEST(ClusterSpill, PrecisionIsPartOfTheSpillDigest) {
+  Coordinator coordinator(CoordinatorConfig{});
+  ASSERT_TRUE(coordinator.start());
+  fleet::ShardConfig tight_int8 = shard_config(2, 1);
+  tight_int8.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
+  LiveNode a("node-a", coordinator.port(), tight_int8, localizer_v1());
+  LiveNode b("node-b", coordinator.port(), shard_config(512, 0), localizer_v1());
+  ASSERT_TRUE(wait_until([&] { return sees_alive_peer(*a.agent, "node-b"); }));
+  const auto queries = test_queries(32);
+  ASSERT_FALSE(queries.empty());
+
+  std::optional<net::FrameSocket> sock =
+      net::FrameSocket::connect("127.0.0.1", a.agent->port(), proto::message_set());
+  ASSERT_TRUE(sock.has_value());
+  net::Frame frame;
+  frame.type = proto::MsgType::kSpillSubmit;
+  frame.request_id = 11;
+  frame.cls = engine::RequestClass::kBulk;
+  frame.body = proto::encode_spill_submit_body(
+      "bldg-A", localizer_v1().artifact_digest(), queries.front());
+  ASSERT_TRUE(sock->send_frame(frame));
+  std::optional<net::Frame> reply = sock->recv_frame(5000);
+  ASSERT_TRUE(reply.has_value());
+  wire::Status status = wire::Status::kOk;
+  serve::Fix fix;
+  ASSERT_TRUE(wire::decode_fix_body(reply->body, status, fix));
+  EXPECT_EQ(status, wire::Status::kWrongArtifact);
+  EXPECT_EQ(a.agent->counters().spill_refused, 1u);
+
+  engine::SubmitOptions bulk;
+  bulk.request_class = engine::RequestClass::kBulk;
+  std::vector<std::future<serve::Fix>> accepted;
+  std::size_t rejected = 0;
+  for (std::size_t round = 0; round < 4; ++round) {
+    for (const auto& query : queries) {
+      engine::Submission sub = a.agent->submit("bldg-A", query, bulk);
+      if (sub.accepted()) {
+        accepted.push_back(std::move(sub.result));
+      } else {
+        EXPECT_EQ(sub.status, engine::SubmitStatus::kQueueFull);
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u) << "the tiny bulk lane must overflow";
+  EXPECT_EQ(a.agent->counters().spill_forwarded, 0u)
+      << "an int8 shard must not spill to an fp32 peer";
+  EXPECT_EQ(b.agent->counters().spill_served, 0u);
+  for (auto& result : accepted) result.wait();
+}
+
 // ---------------------------------------------------------------------------
 // Staged rollout.
 // ---------------------------------------------------------------------------

@@ -435,20 +435,23 @@ TEST(EngineSessions, ConcurrentSessionsMatchDirectTrackingSessions) {
 // Backends: replicas behind the WifiBackend seam.
 // ---------------------------------------------------------------------------
 
+constexpr PlanBackend::Precision kBothPrecisions[] = {PlanBackend::Precision::kFloat32,
+                                                     PlanBackend::Precision::kInt8};
+
 TEST(EngineBackends, CloneAnswersBitIdenticallyToOriginal) {
   const auto& localizer = reference_localizer();
   const auto queries = query_pool(16);
   ASSERT_FALSE(queries.empty());
-  for (const BackendKind kind : {BackendKind::kDense, BackendKind::kQuantized}) {
-    const std::unique_ptr<WifiBackend> original = make_backend(kind, localizer);
-    const std::unique_ptr<WifiBackend> clone = original->clone();
-    EXPECT_EQ(original->input_dim(), localizer.num_aps());
-    EXPECT_EQ(clone->name(), original->name());
-    const auto a = original->locate_batch(queries);
+  for (const PlanBackend::Precision precision : kBothPrecisions) {
+    const PlanBackend original(localizer, precision);
+    const std::unique_ptr<WifiBackend> clone = original.clone();
+    EXPECT_EQ(original.input_dim(), localizer.num_aps());
+    EXPECT_EQ(clone->name(), original.name());
+    const auto a = original.locate_batch(queries);
     const auto b = clone->locate_batch(queries);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(fixes_identical(a[i], b[i])) << backend_kind_name(kind) << " query " << i;
+      EXPECT_TRUE(fixes_identical(a[i], b[i])) << original.name() << " query " << i;
     }
   }
 }
@@ -457,10 +460,15 @@ TEST(EngineBackends, CloneAnswersBitIdenticallyToOriginal) {
 // pre-packed plan — two shared_ptr copies, never a re-pack or
 // re-quantization. Checked two ways: the kernels::pack_operations() counter
 // stays flat across clones, and clone/original plan pointers compare equal.
+// The fp32 replica serves from the plan its localizer compiled at load.
 TEST(EngineBackends, ClonesShareOnePackedPlanWithoutRequantizing) {
   const auto& localizer = reference_localizer();
-  const DenseBackend dense(localizer);
-  const QuantizedBackend quantized(localizer);
+  const PlanBackend dense(localizer);
+  const PlanBackend quantized(localizer, PlanBackend::Precision::kInt8);
+  EXPECT_EQ(dense.name(), "dense");
+  EXPECT_EQ(quantized.name(), "quantized");
+  EXPECT_EQ(dense.plan()->precision(), PlanBackend::Precision::kFloat32);
+  EXPECT_EQ(quantized.plan()->precision(), PlanBackend::Precision::kInt8);
 
   const std::uint64_t packs_before = kernels::pack_operations();
   const std::unique_ptr<WifiBackend> dense_clone = dense.clone();
@@ -468,25 +476,19 @@ TEST(EngineBackends, ClonesShareOnePackedPlanWithoutRequantizing) {
   EXPECT_EQ(kernels::pack_operations(), packs_before)
       << "clone() packed or re-quantized weights";
 
-  const auto* dense_clone_typed = dynamic_cast<const DenseBackend*>(dense_clone.get());
+  const auto* dense_clone_typed = dynamic_cast<const PlanBackend*>(dense_clone.get());
   ASSERT_NE(dense_clone_typed, nullptr);
   EXPECT_EQ(dense_clone_typed->plan().get(), dense.plan().get());
 
-  const auto* quant_clone_typed =
-      dynamic_cast<const QuantizedBackend*>(quant_clone.get());
+  const auto* quant_clone_typed = dynamic_cast<const PlanBackend*>(quant_clone.get());
   ASSERT_NE(quant_clone_typed, nullptr);
   EXPECT_EQ(quant_clone_typed->plan().get(), quantized.plan().get());
-  EXPECT_EQ(quant_clone_typed->quantized_parameter_bytes(),
-            quantized.quantized_parameter_bytes());
+  EXPECT_NE(quantized.plan().get(), dense.plan().get());
 }
 
-// The quantized replica under the same harness as the dense one: engine
-// output must be bit-identical to *direct* quantized inference, however the
-// batcher grouped the requests (per-row activation scales make the int8
-// forward batch-invariant).
 TEST(EngineBackends, QuantizedEngineBitIdenticalToDirectQuantized) {
   const auto& localizer = reference_localizer();
-  const QuantizedBackend reference(localizer);
+  const PlanBackend reference(localizer, PlanBackend::Precision::kInt8);
   const auto queries = query_pool(64);
   ASSERT_FALSE(queries.empty());
   std::vector<serve::Fix> expected;
@@ -500,7 +502,7 @@ TEST(EngineBackends, QuantizedEngineBitIdenticalToDirectQuantized) {
   cfg.max_batch = 16;
   cfg.max_wait_us = 100;
   cfg.queue_cap = 4096;
-  cfg.backend = BackendKind::kQuantized;
+  cfg.precision = PlanBackend::Precision::kInt8;
   Engine engine(localizer, cfg);
   EXPECT_EQ(engine.backend_name(), "quantized");
 
@@ -535,9 +537,9 @@ TEST(EngineBackends, QuantizedDecodesTrackTheDenseModel) {
   // path must still be the same model, so decoded classes should mostly
   // agree and confidences stay valid probabilities.
   const auto& localizer = reference_localizer();
-  const QuantizedBackend quantized(localizer);
-  EXPECT_GT(quantized.quantized_parameter_bytes(), 0u);
-  EXPECT_LT(quantized.quantized_parameter_bytes(),
+  const PlanBackend quantized(localizer, PlanBackend::Precision::kInt8);
+  EXPECT_GT(quantized.plan()->stats().packed_bytes, 0u);
+  EXPECT_LT(quantized.plan()->stats().packed_bytes,
             localizer.model().parameter_bytes());
   const auto queries = query_pool(64);
   ASSERT_FALSE(queries.empty());

@@ -1,5 +1,5 @@
-// Fleet router tests: shard-keyed routing equivalence (dense and quantized
-// backends, cache on and off), consistent kQueueFull fallback inside a
+// Fleet router tests: shard-keyed routing equivalence (fp32 and int8
+// shards, cache on and off), consistent kQueueFull fallback inside a
 // shard, merged EngineStats/Histogram fleet views against pooled-sample
 // ground truth, and hot-swap semantics (fresh caches, invalidated
 // sessions — a stale model's fix never outlives its model).
@@ -174,7 +174,8 @@ TEST(Router, RoutedFixesBitIdenticalToDirectPerShard) {
 TEST(Router, QuantizedShardMatchesDirectQuantizedInference) {
   const auto queries = query_pool(32);
   ASSERT_FALSE(queries.empty());
-  const engine::QuantizedBackend reference(localizer_a());
+  const engine::PlanBackend reference(localizer_a(),
+                                     serve::OptimizedNetwork::Precision::kInt8);
   std::vector<serve::Fix> expected;
   for (const auto& q : queries) {
     expected.push_back(reference.locate_batch(std::span(&q, 1)).front());
@@ -182,7 +183,7 @@ TEST(Router, QuantizedShardMatchesDirectQuantizedInference) {
 
   Router router;
   ShardConfig cfg = shard_config("bldg-Q");
-  cfg.engine.backend = engine::BackendKind::kQuantized;
+  cfg.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
   ASSERT_TRUE(router.add_shard(cfg, localizer_a()));
 
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -411,6 +412,37 @@ TEST(RouterArtifacts, DigestsIdentifyModelsAcrossShardsSwapsAndStats) {
   for (const ShardDepths& depth : depths) {
     EXPECT_EQ(depth.engines.size(), depth.bulk.size());
     EXPECT_EQ(depth.engines.size(), 1u);
+  }
+}
+
+// An int8 shard answers differently from an fp32 shard of the same model,
+// so the two must never advertise one digest: a cross-node spill between
+// them would pass the digest guard and serve the other precision's fix.
+// fp32 keeps the bare model identity every rollout and spill compares.
+TEST(RouterArtifacts, Int8ShardDigestDiffersFromFp32ShardOfTheSameModel) {
+  Router router;
+  ShardConfig fp32 = shard_config("fp32");
+  ShardConfig int8 = shard_config("int8");
+  int8.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
+  ASSERT_TRUE(router.add_shard(fp32, localizer_a()));
+  ASSERT_TRUE(router.add_shard(int8, localizer_a()));
+
+  std::map<std::string, std::uint64_t> digest;
+  for (const ShardArtifact& artifact : router.shard_artifacts()) {
+    digest[artifact.shard] = artifact.digest;
+  }
+  ASSERT_EQ(digest.size(), 2u);
+  EXPECT_EQ(digest.at("fp32"), localizer_a().artifact_digest());
+  EXPECT_NE(digest.at("int8"), 0u);
+  EXPECT_NE(digest.at("int8"), digest.at("fp32"));
+
+  // hot_swap re-derives the digest under the shard's own precision.
+  ASSERT_TRUE(router.hot_swap("int8", localizer_b()));
+  for (const ShardArtifact& artifact : router.shard_artifacts()) {
+    if (artifact.shard == "int8") {
+      EXPECT_NE(artifact.digest, localizer_b().artifact_digest());
+      EXPECT_NE(artifact.digest, digest.at("int8"));
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/fpmath.h"
@@ -335,9 +336,20 @@ TEST(KernelParityInt8, ScalarVsAvx2BitIdenticalAcrossShapes) {
   }
 }
 
+QuantizedView unpacked_view(const core::QuantizedDense& layer) {
+  return QuantizedView{layer.weights.data(), layer.scales.data(), layer.in_dim,
+                       layer.out_dim};
+}
+
+Epilogue bias_epilogue(const core::QuantizedDense& layer) {
+  Epilogue ep;
+  ep.bias = layer.bias.data();
+  return ep;
+}
+
 TEST(KernelParityInt8, MatchesLegacyQuantizedDenseInfer) {
-  // quantized_dense_infer now routes through the kernels; reproduce its
-  // historical loop longhand and require bitwise equality, zero row included.
+  // The unpacked int8 kernel against the historical integer loop written
+  // out longhand: bitwise equality, zero row included.
   IsaGuard guard;
   Rng rng(23);
   const std::size_t k = 33, n = 17, m = 6;
@@ -386,7 +398,7 @@ TEST(KernelParityInt8, MatchesLegacyQuantizedDenseInfer) {
     if (isa == Isa::kAvx2 && !avx2_supported()) continue;
     force_isa(isa);
     Mat y;
-    core::quantized_dense_infer(layer, x, y);
+    quantized_forward(x, unpacked_view(layer), bias_epilogue(layer), y);
     EXPECT_TRUE(bitwise_equal(y, ref)) << isa_name(isa);
   }
 }
@@ -457,11 +469,27 @@ TEST(OptimizedNetworkSuite, Fp32PlanBitIdenticalAcrossIsas) {
   }
 }
 
-TEST(OptimizedNetworkSuite, Int8PlanBitIdenticalToQuantizedNetwork) {
+/// The int8 oracle the packed plan must equal: layer by layer, every Dense
+/// quantized and run through the unpacked int8 kernel with its bias in the
+/// epilogue, every other layer through its own float Layer::infer.
+Mat int8_reference_predict(const nn::Sequential& net, const Mat& x) {
+  Mat cur = x, next;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    if (const auto* dense = dynamic_cast<const nn::Dense*>(&net.layer(i))) {
+      const core::QuantizedDense q = core::quantize_dense(*dense);
+      quantized_forward(cur, unpacked_view(q), bias_epilogue(q), next);
+    } else {
+      net.layer(i).infer(cur, next);
+    }
+    std::swap(cur, next);
+  }
+  return cur;
+}
+
+TEST(OptimizedNetworkSuite, Int8PlanBitIdenticalToLayerwiseInt8Oracle) {
   IsaGuard guard;
   Rng rng(37);
   nn::Sequential net = trained_bn_network(24, 32, 19, rng);
-  const core::QuantizedNetwork qnet(net);
   const serve::OptimizedNetwork plan(net,
                                      serve::OptimizedNetwork::Precision::kInt8);
   for (std::size_t m = 1; m <= 17; ++m) {
@@ -469,7 +497,7 @@ TEST(OptimizedNetworkSuite, Int8PlanBitIdenticalToQuantizedNetwork) {
     for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
       if (isa == Isa::kAvx2 && !avx2_supported()) continue;
       force_isa(isa);
-      const Mat expected = qnet.predict(x);
+      const Mat expected = int8_reference_predict(net, x);
       const Mat actual = plan.predict(x);
       EXPECT_TRUE(bitwise_equal(expected, actual))
           << "m=" << m << " isa=" << isa_name(isa);

@@ -1,7 +1,8 @@
 // Scheduling tests (PR 9): EDF bulk-lane ordering determinism (ties, mixed
 // deadline/no-deadline entries, all-expired pops), cross-session IMU
-// coalescing bit-identity against direct TrackingSession inference, and
-// per-session FIFO preserved under 8-thread pipelined load.
+// coalescing bit-identity against direct TrackingSession inference,
+// per-session FIFO preserved under 8-thread pipelined load, and IMU pass
+// accounting for a lone session update.
 //
 // Carries the `concurrency` CTest label and runs under
 // -DNOBLE_SANITIZE=thread in CI.
@@ -32,7 +33,7 @@ using Clock = std::chrono::steady_clock;
 // ---------------------------------------------------------------------------
 
 TEST(EdfQueue, BulkDrainsByAscendingDeadline) {
-  BoundedQueue<int> queue(8, ClassCaps{}, /*edf_bulk=*/true);
+  BoundedQueue<int> queue(8);
   const auto now = Clock::now();
   const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
   EXPECT_EQ(queue.try_push(1, RequestClass::kBulk, at(30000)), PushResult::kOk);
@@ -48,7 +49,7 @@ TEST(EdfQueue, BulkDrainsByAscendingDeadline) {
 }
 
 TEST(EdfQueue, TiesBreakByAdmissionSequence) {
-  BoundedQueue<int> queue(8, ClassCaps{}, /*edf_bulk=*/true);
+  BoundedQueue<int> queue(8);
   const auto deadline = Clock::now() + std::chrono::seconds(30);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(queue.try_push(i, RequestClass::kBulk, deadline), PushResult::kOk);
@@ -59,7 +60,7 @@ TEST(EdfQueue, TiesBreakByAdmissionSequence) {
 }
 
 TEST(EdfQueue, DeadlinelessEntriesSortLastInArrivalOrder) {
-  BoundedQueue<int> queue(8, ClassCaps{}, /*edf_bulk=*/true);
+  BoundedQueue<int> queue(8);
   const auto now = Clock::now();
   EXPECT_EQ(queue.try_push(1, RequestClass::kBulk), PushResult::kOk);
   EXPECT_EQ(queue.try_push(2, RequestClass::kBulk, now + std::chrono::seconds(60)),
@@ -76,7 +77,7 @@ TEST(EdfQueue, DeadlinelessEntriesSortLastInArrivalOrder) {
 }
 
 TEST(EdfQueue, InteractiveLaneStaysFifoAndStillOutranksBulk) {
-  BoundedQueue<int> queue(8, ClassCaps{}, /*edf_bulk=*/true);
+  BoundedQueue<int> queue(8);
   const auto now = Clock::now();
   // Interactive pushed with *decreasing* deadlines: EDF would reverse them,
   // FIFO must not.
@@ -94,7 +95,7 @@ TEST(EdfQueue, InteractiveLaneStaysFifoAndStillOutranksBulk) {
 }
 
 TEST(EdfQueue, AllExpiredPopReturnsCorpsesInDeadlineOrderWithoutWaiting) {
-  BoundedQueue<int> queue(8, ClassCaps{}, /*edf_bulk=*/true);
+  BoundedQueue<int> queue(8);
   const auto past = Clock::now() - std::chrono::milliseconds(1);
   EXPECT_EQ(queue.try_push(1, RequestClass::kBulk, past), PushResult::kOk);
   EXPECT_EQ(queue.try_push(2, RequestClass::kBulk, past - std::chrono::milliseconds(2)),
@@ -110,20 +111,6 @@ TEST(EdfQueue, AllExpiredPopReturnsCorpsesInDeadlineOrderWithoutWaiting) {
   EXPECT_EQ(expired[0], 2);  // EDF order holds for the expired list too
   EXPECT_EQ(expired[1], 3);
   EXPECT_EQ(expired[2], 1);
-}
-
-TEST(EdfQueue, DefaultConstructionKeepsBulkFifo) {
-  BoundedQueue<int> queue(8);  // edf_bulk defaults off at the queue level
-  EXPECT_FALSE(queue.edf_bulk());
-  const auto now = Clock::now();
-  EXPECT_EQ(queue.try_push(1, RequestClass::kBulk, now + std::chrono::seconds(30)),
-            PushResult::kOk);
-  EXPECT_EQ(queue.try_push(2, RequestClass::kBulk, now + std::chrono::seconds(10)),
-            PushResult::kOk);
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0));
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0], 1);  // arrival order despite the later deadline
-  EXPECT_EQ(batch[1], 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,7 +234,6 @@ TEST(SessionCoalescing, PipelinedEngineMatchesDirectTrackingAcross8Threads) {
   cfg.max_batch = 16;
   cfg.queue_cap = 1024;
   cfg.session_backlog = 256;
-  ASSERT_TRUE(cfg.coalesce_sessions);  // the PR default under test
   Engine engine(wifi, imu, cfg);
   ASSERT_TRUE(engine.has_imu());
 
@@ -288,69 +274,40 @@ TEST(SessionCoalescing, PipelinedEngineMatchesDirectTrackingAcross8Threads) {
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // The coalesced path really ran: imu_batches counts only cross-session
-  // drains (a lone token takes the serialized path).
+  // The batched drain really ran: every update was served by one of the
+  // counted IMU passes.
   const EngineStats stats = engine.stats();
   EXPECT_GT(stats.imu_batches, 0u);
 }
 
-// Scheduling modes agree: the same pipelined workload through a coalescing
-// engine and a serialized-per-track engine yields identical fix streams.
-TEST(SessionCoalescing, CoalescedAndSerializedEnginesProduceIdenticalFixes) {
+// A lone session token takes the same batched drain as a crowd of them:
+// one update on one session is one IMU pass of width 1, so imu_batches
+// counts every pass that served a session update.
+TEST(SessionCoalescing, LoneUpdateIsOneImuPassOfWidthOne) {
   const auto& f = scheduling_fixture();
   const serve::WifiLocalizer wifi = serve::WifiLocalizer::from_model(f.wifi_model);
   const serve::ImuLocalizer imu = serve::ImuLocalizer::from_model(f.imu_tracker);
+  EngineConfig cfg;
+  cfg.workers = 1;
+  Engine engine(wifi, imu, cfg);
 
-  const std::size_t num_tracks = std::min<std::size_t>(f.imu_exp.split.test.size(), 8);
-  ASSERT_GE(num_tracks, 2u);
+  const auto& path = f.imu_exp.split.test.paths.front();
+  const auto segments = segments_of(path, f.imu_tracker.segment_dim());
+  ASSERT_FALSE(segments.empty());
+  serve::TrackingSession direct = imu.start_session(path.start);
+  const serve::Fix expected = direct.update(segments.front());
 
-  const auto run_engine = [&](bool coalesce) {
-    EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.max_batch = 16;
-    cfg.queue_cap = 1024;
-    cfg.session_backlog = 256;
-    cfg.coalesce_sessions = coalesce;
-    Engine engine(wifi, imu, cfg);
-    std::vector<std::vector<std::future<serve::Fix>>> futures(num_tracks);
-    std::vector<std::optional<SessionId>> ids(num_tracks);
-    for (std::size_t p = 0; p < num_tracks; ++p) {
-      ids[p] = engine.open_session(f.imu_exp.split.test.paths[p].start);
-    }
-    // Round-robin pipelined submission: interleaves tracks so both modes
-    // see multi-session batches in flight.
-    for (std::size_t round = 0;; ++round) {
-      bool any = false;
-      for (std::size_t p = 0; p < num_tracks; ++p) {
-        const auto segments =
-            segments_of(f.imu_exp.split.test.paths[p], f.imu_tracker.segment_dim());
-        if (round >= segments.size()) continue;
-        any = true;
-        Submission s = engine.track(*ids[p], segments[round]);
-        while (s.status == SubmitStatus::kQueueFull) {
-          std::this_thread::yield();
-          s = engine.track(*ids[p], segments[round]);
-        }
-        futures[p].push_back(std::move(s.result));
-      }
-      if (!any) break;
-    }
-    std::vector<std::vector<serve::Fix>> fixes(num_tracks);
-    for (std::size_t p = 0; p < num_tracks; ++p) {
-      for (auto& future : futures[p]) fixes[p].push_back(future.get());
-    }
-    return fixes;
-  };
+  const auto session = engine.open_session(path.start);
+  ASSERT_TRUE(session.has_value());
+  Submission s = engine.track(*session, segments.front());
+  ASSERT_TRUE(s.accepted());
+  EXPECT_TRUE(s.result.get() == expected);
 
-  const auto coalesced = run_engine(true);
-  const auto serialized = run_engine(false);
-  ASSERT_EQ(coalesced.size(), serialized.size());
-  for (std::size_t p = 0; p < num_tracks; ++p) {
-    ASSERT_EQ(coalesced[p].size(), serialized[p].size());
-    for (std::size_t i = 0; i < coalesced[p].size(); ++i) {
-      EXPECT_TRUE(coalesced[p][i] == serialized[p][i]) << "track " << p << " fix " << i;
-    }
-  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.imu_batches, 1u);
+  EXPECT_EQ(stats.imu_batch_size.count(), 1u);
+  EXPECT_EQ(stats.imu_batch_size.max_recorded(), 1.0);
+  EXPECT_EQ(stats.completed, 1u);
 }
 
 }  // namespace
