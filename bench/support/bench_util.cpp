@@ -83,9 +83,7 @@ std::string describe_engine_config(const engine::EngineConfig& cfg) {
                 cfg.adaptive_wait ? " (adaptive)" : "", cfg.queue_cap,
                 cfg.interactive_cap, cfg.bulk_cap,
                 static_cast<unsigned long long>(cfg.default_deadline_us),
-                cfg.precision == serve::OptimizedNetwork::Precision::kInt8 ? "quantized"
-                                                                           : "dense",
-                cfg.cache_capacity,
+                engine::precision_name(cfg.precision).data(), cfg.cache_capacity,
                 kernels::isa_name(kernels::active_isa()));
   return buffer;
 }
@@ -259,12 +257,8 @@ MixedLoadReport run_mixed_load(LoadTarget& target,
           ++mine.expired;
         } else {
           // Shed, not retried: bulk under overload is load the fleet chose
-          // to drop, and the counter is the measurement. The client backs
-          // off before its next scan: a shed flood that resubmits at once
-          // spins on the shared queue lock and, on a host with fewer cores
-          // than threads, takes the CPU from the workers serving it.
+          // to drop, and the counter is the measurement.
           ++mine.rejected;
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
       }
       flush();

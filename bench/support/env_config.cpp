@@ -103,11 +103,11 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
       integer("NOBLE_ENGINE_QUEUE_CAP", static_cast<long>(defaults.queue_cap)));
   cfg.adaptive_wait = flag("NOBLE_ENGINE_ADAPTIVE", defaults.adaptive_wait);
   using Precision = serve::OptimizedNetwork::Precision;
-  cfg.precision =
-      text("NOBLE_ENGINE_BACKEND",
-           defaults.precision == Precision::kInt8 ? "quantized" : "dense") == "quantized"
-          ? Precision::kInt8
-          : Precision::kFloat32;
+  cfg.precision = text("NOBLE_ENGINE_BACKEND",
+                       std::string(engine::precision_name(defaults.precision))) ==
+                          engine::precision_name(Precision::kInt8)
+                      ? Precision::kInt8
+                      : Precision::kFloat32;
   cfg.cache_capacity = static_cast<std::size_t>(
       integer("NOBLE_ENGINE_CACHE_CAP", static_cast<long>(defaults.cache_capacity)));
   cfg.cache_key_step_db =

@@ -539,10 +539,12 @@ void NodeAgent::serve_rollout(net::ServerConn& conn, const net::Frame& frame) {
     return;
   }
   for (const fleet::ShardArtifact& artifact : router_.shard_artifacts()) {
-    if (artifact.shard == cmd.shard && artifact.digest == cmd.digest) {
-      // Idempotent: re-commanding the digest a shard already serves must
+    if (artifact.shard == cmd.shard && fleet::serves_model(artifact.digest, cmd.digest)) {
+      // Idempotent: re-commanding the model a shard already serves must
       // not churn engines (and would invalidate sticky sessions for
       // nothing) — the commit stage sweeps every node, canary included.
+      // cmd.digest is the bare model digest; an int8 shard advertises it
+      // precision-tagged, and serves_model() accepts both.
       report.status = static_cast<std::uint32_t>(wire::Status::kOk);
       report.digest = cmd.digest;
       report.message = "already serving this artifact";

@@ -37,7 +37,11 @@ std::unique_ptr<WifiBackend> PlanBackend::clone() const {
 }
 
 std::string PlanBackend::name() const {
-  return plan_->precision() == Precision::kInt8 ? "quantized" : "dense";
+  return std::string(precision_name(plan_->precision()));
+}
+
+std::string_view precision_name(serve::OptimizedNetwork::Precision precision) {
+  return precision == serve::OptimizedNetwork::Precision::kInt8 ? "quantized" : "dense";
 }
 
 }  // namespace noble::engine

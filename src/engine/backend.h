@@ -24,6 +24,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/fix.h"
@@ -76,7 +77,7 @@ class PlanBackend final : public WifiBackend {
       std::span<const serve::RssiVector> queries) const override;
   std::size_t input_dim() const override { return localizer_->num_aps(); }
   std::unique_ptr<WifiBackend> clone() const override;
-  /// "dense" (fp32) or "quantized" (int8) — the NOBLE_ENGINE_BACKEND values.
+  /// precision_name() of the plan's precision.
   std::string name() const override;
 
   /// The packed plan this replica serves from — same object across clones
@@ -93,6 +94,10 @@ class PlanBackend final : public WifiBackend {
   std::shared_ptr<const serve::WifiLocalizer> localizer_;
   std::shared_ptr<const serve::OptimizedNetwork> plan_;
 };
+
+/// "dense" (fp32) or "quantized" (int8): the replica's telemetry name and the
+/// NOBLE_ENGINE_BACKEND value that selects the precision.
+std::string_view precision_name(serve::OptimizedNetwork::Precision precision);
 
 }  // namespace noble::engine
 

@@ -53,12 +53,24 @@ struct ShardConfig {
   /// Per-engine knobs (precision, cache, batching, workers).
   engine::EngineConfig engine;
   /// Content identity of the model artifact(s) this shard serves. Filled by
-  /// the router at add_shard/hot_swap from the localizers' digests, with a
-  /// precision tag chained on for int8 shards (callers never set it): the
-  /// value two nodes compare to decide whether a spilled request lands on a
-  /// replica that answers bit-identically.
+  /// the router at add_shard/hot_swap as shard_digest() of the localizers'
+  /// digest (callers never set it): the value two nodes compare to decide
+  /// whether a spilled request lands on a replica that answers
+  /// bit-identically.
   std::uint64_t artifact_digest = 0;
 };
+
+/// The digest a shard serving `model_digest` at `precision` advertises. The
+/// digest names the fixes a shard serves, not only its weights: an int8
+/// shard answers differently from an fp32 shard of the same model, so it
+/// chains a precision tag on (fp32 digests stay the bare model digest).
+std::uint64_t shard_digest(std::uint64_t model_digest,
+                           serve::OptimizedNetwork::Precision precision);
+
+/// True when a shard advertising `digest` serves the model `model_digest`
+/// at either precision. Model identity, not spill compatibility: rollout
+/// convergence asks this, since a rollout keeps each shard's precision.
+bool serves_model(std::uint64_t digest, std::uint64_t model_digest);
 
 /// Handle for one streaming IMU session opened through the router. Sticky:
 /// bound to the shard generation and engine that admitted it.

@@ -662,6 +662,71 @@ TEST(ClusterRollout, WrongDigestCommandIsRefusedByTheNode) {
   std::filesystem::remove_all(model_dir);
 }
 
+// An int8 shard advertises its model digest precision-tagged, while the
+// coordinator and rollout commands name the bare model digest. A fleet that
+// already serves the artifact — one shard at int8 — is converged: a scan
+// starts no rollout, and a commit command to the int8 node is a no-op that
+// neither reloads the artifact nor swaps the shard.
+TEST(ClusterRollout, ConvergedFleetWithAnInt8ShardIsLeftAlone) {
+  const std::string model_dir =
+      (std::filesystem::path(::testing::TempDir()) / "noble_cluster_int8_converged")
+          .string();
+  std::filesystem::create_directories(model_dir);
+  const std::string artifact = model_dir + "/bldg-A.noble";
+  ASSERT_TRUE(serve::save_model(cluster_fixture().model_v1, artifact));
+  const std::uint64_t v1_digest = localizer_v1().artifact_digest();
+
+  CoordinatorConfig cc;
+  cc.model_dir = model_dir;
+  cc.poll_ms = 0;
+  Coordinator coordinator(cc);
+  ASSERT_TRUE(coordinator.start());
+  fleet::ShardConfig int8_shard = shard_config(64, 0);
+  int8_shard.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
+  LiveNode a("node-a", coordinator.port(), shard_config(64, 0), localizer_v1());
+  LiveNode b("node-b", coordinator.port(), int8_shard, localizer_v1());
+  ASSERT_TRUE(wait_until([&] {
+    std::size_t reporting = 0;
+    for (const proto::NodeInfo& member : coordinator.members()) {
+      if (member.alive && !member.shards.empty()) ++reporting;
+    }
+    return reporting == 2;
+  }));
+  const fleet::ShardArtifact before = b.router.shard_artifacts().front();
+  ASSERT_NE(before.digest, v1_digest);
+  ASSERT_TRUE(fleet::serves_model(before.digest, v1_digest));
+
+  coordinator.scan_model_dir();
+  EXPECT_EQ(coordinator.counters().rollouts_started, 0u);
+
+  std::optional<net::FrameSocket> sock =
+      net::FrameSocket::connect("127.0.0.1", b.agent->port(), proto::message_set());
+  ASSERT_TRUE(sock.has_value());
+  proto::RolloutCommand cmd;
+  cmd.shard = "bldg-A";
+  cmd.artifact_path = artifact;
+  cmd.digest = v1_digest;
+  cmd.stage = proto::RolloutStage::kCommit;
+  net::Frame frame;
+  frame.type = proto::MsgType::kRolloutCommand;
+  frame.request_id = 1;
+  frame.body = proto::encode_rollout_command_body(cmd);
+  ASSERT_TRUE(sock->send_frame(frame));
+  std::optional<net::Frame> reply = sock->recv_frame(10'000);
+  ASSERT_TRUE(reply.has_value());
+  proto::RolloutReport report;
+  ASSERT_TRUE(proto::decode_rollout_report_body(reply->body, report));
+  EXPECT_EQ(report.status, static_cast<std::uint32_t>(wire::Status::kOk));
+  EXPECT_EQ(report.message, "already serving this artifact");
+
+  EXPECT_EQ(a.agent->counters().rollouts_applied, 0u);
+  EXPECT_EQ(b.agent->counters().rollouts_applied, 0u);
+  const fleet::ShardArtifact after = b.router.shard_artifacts().front();
+  EXPECT_EQ(after.digest, before.digest);
+  EXPECT_EQ(after.generation, before.generation) << "the int8 shard must not be swapped";
+  std::filesystem::remove_all(model_dir);
+}
+
 // ---------------------------------------------------------------------------
 // Hostile bytes against live cluster servers: every violation answers one
 // kError frame, the connection closes, and the server keeps serving.
