@@ -22,6 +22,8 @@
 
 namespace noble::bench {
 
+namespace wire = gateway::wire;
+
 core::WifiExperimentConfig uji_config() {
   core::WifiExperimentConfig cfg;
   cfg.total_samples = 9000;  // scaled by NOBLE_SCALE inside the builder
@@ -160,8 +162,8 @@ void settle(ClassLoadReport& report, const LoadClock::time_point& submitted_at,
   } catch (const engine::DeadlineExpired&) {
     ++report.expired;
   } catch (const WireRejected& rejected) {
-    if (rejected.status == gateway::wire::Status::kDeadlineExpired ||
-        rejected.status == gateway::wire::Status::kExpired) {
+    if (rejected.status == wire::Status::kDeadlineExpired ||
+        rejected.status == wire::Status::kExpired) {
       ++report.expired;
     } else {
       ++report.rejected;
@@ -324,119 +326,6 @@ bool RouterTarget::close_session(std::uint64_t session) {
   return router_.close_session(sticky);
 }
 
-/// One gateway connection of a SocketTarget: a full-duplex FrameSocket, the
-/// per-request promise table, and the reader thread that resolves it from
-/// response frames (which arrive in completion order, not submission order).
-struct SocketTarget::Conn {
-  explicit Conn(gateway::FrameSocket socket) : sock(std::move(socket)) {}
-
-  gateway::FrameSocket sock;
-  std::mutex send_mu;  ///< whole frames only: senders serialize here
-  std::atomic<std::uint64_t> next_request_id{1};
-
-  std::mutex pending_mu;  ///< guards the three waiter tables
-  std::unordered_map<std::uint64_t, std::promise<serve::Fix>> fix_waiters;
-  std::unordered_map<std::uint64_t,
-                     std::promise<std::pair<gateway::wire::Status, std::uint64_t>>>
-      open_waiters;
-  std::unordered_map<std::uint64_t, std::promise<gateway::wire::Status>> close_waiters;
-
-  std::atomic<bool> dead{false};
-  std::thread reader;
-
-  void start_reader() {
-    reader = std::thread([this] { read_loop(); });
-  }
-
-  void read_loop() {
-    using gateway::wire::MsgType;
-    using gateway::wire::Status;
-    while (std::optional<gateway::wire::Frame> frame = sock.recv_frame(-1)) {
-      switch (frame->type.as<MsgType>()) {
-        case MsgType::kFix: {
-          Status status = Status::kStopped;
-          serve::Fix fix;
-          const bool decoded =
-              gateway::wire::decode_fix_body(frame->body, status, fix);
-          std::promise<serve::Fix> waiter;
-          {
-            std::lock_guard<std::mutex> lock(pending_mu);
-            const auto it = fix_waiters.find(frame->request_id);
-            if (it == fix_waiters.end()) break;  // sync caller gave up; drop
-            waiter = std::move(it->second);
-            fix_waiters.erase(it);
-          }
-          if (decoded && status == Status::kOk) {
-            waiter.set_value(fix);
-          } else {
-            // The shared status table maps every non-kOk wire status to the
-            // exception the report counters expect (kDeadlineExpired ->
-            // engine::DeadlineExpired, the rest -> WireRejected).
-            waiter.set_exception(gateway::wire::rejection_exception(
-                decoded ? status : Status::kStopped));
-          }
-          break;
-        }
-        case MsgType::kSessionOpened: {
-          Status status = Status::kStopped;
-          std::uint64_t wire_id = 0;
-          if (!gateway::wire::decode_session_opened_body(frame->body, status, wire_id)) {
-            status = Status::kStopped;
-            wire_id = 0;
-          }
-          std::lock_guard<std::mutex> lock(pending_mu);
-          const auto it = open_waiters.find(frame->request_id);
-          if (it != open_waiters.end()) {
-            it->second.set_value({status, wire_id});
-            open_waiters.erase(it);
-          }
-          break;
-        }
-        case MsgType::kSessionClosed: {
-          Status status = Status::kStopped;
-          (void)gateway::wire::decode_status_body(frame->body, status);
-          std::lock_guard<std::mutex> lock(pending_mu);
-          const auto it = close_waiters.find(frame->request_id);
-          if (it != close_waiters.end()) {
-            it->second.set_value(status);
-            close_waiters.erase(it);
-          }
-          break;
-        }
-        default:
-          // kError (the server is about to hang up) or a type this harness
-          // never requests: nothing sane can follow.
-          fail_all();
-          return;
-      }
-    }
-    fail_all();  // EOF / hard error: every outstanding request is lost
-  }
-
-  /// Fails every outstanding promise — connection is gone.
-  void fail_all() {
-    dead.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(pending_mu);
-    const auto lost =
-        std::make_exception_ptr(WireRejected(gateway::wire::Status::kStopped));
-    for (auto& [id, waiter] : fix_waiters) waiter.set_exception(lost);
-    for (auto& [id, waiter] : open_waiters) {
-      waiter.set_value({gateway::wire::Status::kStopped, 0});
-    }
-    for (auto& [id, waiter] : close_waiters) {
-      waiter.set_value(gateway::wire::Status::kStopped);
-    }
-    fix_waiters.clear();
-    open_waiters.clear();
-    close_waiters.clear();
-  }
-
-  ~Conn() {
-    sock.shutdown_both();  // unparks the reader (it observes EOF)
-    if (reader.joinable()) reader.join();
-  }
-};
-
 std::unique_ptr<SocketTarget> SocketTarget::connect(const std::string& host,
                                                     std::uint16_t port,
                                                     std::size_t connections) {
@@ -444,101 +333,82 @@ std::unique_ptr<SocketTarget> SocketTarget::connect(const std::string& host,
   for (std::size_t i = 0; i < std::max<std::size_t>(1, connections); ++i) {
     std::optional<gateway::FrameSocket> sock = gateway::connect_socket(host, port);
     if (!sock.has_value()) return nullptr;
-    target->conns_.push_back(std::make_unique<Conn>(std::move(*sock)));
-    target->conns_.back()->start_reader();
+    target->conns_.push_back(std::make_unique<net::Channel>(std::move(*sock)));
   }
   return target;
 }
 
 SocketTarget::~SocketTarget() = default;
 
-SocketTarget::Conn& SocketTarget::pick_conn() {
-  const std::uint64_t n = next_conn_.fetch_add(1, std::memory_order_relaxed);
-  return *conns_[n % conns_.size()];
+std::size_t SocketTarget::pick_conn() {
+  return next_conn_.fetch_add(1, std::memory_order_relaxed) % conns_.size();
 }
 
-namespace {
-
-/// Header deadline for SubmitOptions: relative budget in us, 0 = none. An
-/// already-lapsed absolute deadline becomes the minimum budget (1 us) so the
-/// server still expires it — the client clock never decides.
-std::uint64_t wire_deadline_us(const engine::SubmitOptions& options) {
-  if (!options.deadline.has_value()) return 0;
-  const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-      *options.deadline - std::chrono::steady_clock::now());
-  return left.count() > 0 ? static_cast<std::uint64_t>(left.count()) : 1;
-}
-
-}  // namespace
-
-engine::Submission SocketTarget::submit(const std::string& shard_key,
-                                        const serve::RssiVector& rssi,
-                                        const engine::SubmitOptions& options) {
-  Conn& conn = pick_conn();
+engine::Submission SocketTarget::call_fix(std::size_t conn, wire::Frame frame,
+                                          const engine::SubmitOptions& options) {
+  wire::stamp_submit_options(options, frame);
+  auto waiter = std::make_shared<std::promise<serve::Fix>>();
   engine::Submission out;
-  if (conn.dead.load(std::memory_order_relaxed)) return out;  // kStopped
-  gateway::wire::Frame frame;
-  frame.type = gateway::wire::MsgType::kLocate;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  frame.cls = options.request_class;
-  frame.deadline_us = wire_deadline_us(options);
-  frame.body = gateway::wire::encode_locate_body(shard_key, rssi);
-  std::promise<serve::Fix> promise;
-  out.result = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.erase(frame.request_id);
-    out.result = std::future<serve::Fix>();
-    return out;  // kStopped
-  }
+  // No client-side deadline on the call: the gateway's verdict is the one
+  // the wire rows compare against in-process rows, where a request the
+  // engine started in time is answered however late it finishes.
+  const bool sent = conns_[conn]->call(
+      std::move(frame), std::nullopt,
+      [waiter](net::Channel::Outcome outcome, wire::Frame reply) {
+        serve::Fix fix;
+        const wire::Status status =
+            wire::decode_fix_reply(outcome, reply, wire::MsgType::kFix, fix);
+        wire::settle_fix(*waiter, status, fix);
+      });
+  if (!sent) return out;  // kStopped
   // Optimistic: the frame is on the wire. A server-side rejection comes
   // back through the future as WireRejected — there is no admission
   // verdict a pipelined client could wait for without serializing.
   out.status = engine::SubmitStatus::kAccepted;
+  out.result = waiter->get_future();
   return out;
+}
+
+std::optional<wire::Frame> SocketTarget::round_trip(std::size_t conn, wire::Frame frame) {
+  auto waiter = std::make_shared<std::promise<std::optional<wire::Frame>>>();
+  std::future<std::optional<wire::Frame>> reply = waiter->get_future();
+  const bool sent = conns_[conn]->call(
+      std::move(frame), std::nullopt,
+      [waiter](net::Channel::Outcome outcome, wire::Frame answer) {
+        waiter->set_value(outcome == net::Channel::Outcome::kReply
+                              ? std::optional<wire::Frame>(std::move(answer))
+                              : std::nullopt);
+      });
+  if (!sent) return std::nullopt;
+  return reply.get();
+}
+
+engine::Submission SocketTarget::submit(const std::string& shard_key,
+                                        const serve::RssiVector& rssi,
+                                        const engine::SubmitOptions& options) {
+  wire::Frame frame;
+  frame.type = wire::MsgType::kLocate;
+  frame.body = wire::encode_locate_body(shard_key, rssi);
+  return call_fix(pick_conn(), std::move(frame), options);
 }
 
 std::optional<std::uint64_t> SocketTarget::open_session(const std::string& shard_key,
                                                         const geo::Point2& start) {
-  const std::size_t conn_index =
-      next_conn_.fetch_add(1, std::memory_order_relaxed) % conns_.size();
-  Conn& conn = *conns_[conn_index];
-  if (conn.dead.load(std::memory_order_relaxed)) return std::nullopt;
-  gateway::wire::Frame frame;
-  frame.type = gateway::wire::MsgType::kOpenSession;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  frame.body = gateway::wire::encode_open_session_body(shard_key, start);
-  std::promise<std::pair<gateway::wire::Status, std::uint64_t>> promise;
-  std::future<std::pair<gateway::wire::Status, std::uint64_t>> reply =
-      promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.open_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.open_waiters.erase(frame.request_id);
+  const std::size_t conn = pick_conn();
+  wire::Frame frame;
+  frame.type = wire::MsgType::kOpenSession;
+  frame.body = wire::encode_open_session_body(shard_key, start);
+  const std::optional<wire::Frame> reply = round_trip(conn, std::move(frame));
+  wire::Status status = wire::Status::kStopped;
+  std::uint64_t wire_id = 0;
+  if (!reply || reply->type != wire::MsgType::kSessionOpened ||
+      !wire::decode_session_opened_body(reply->body, status, wire_id) ||
+      status != wire::Status::kOk) {
     return std::nullopt;
   }
-  const auto [status, wire_id] = reply.get();
-  if (status != gateway::wire::Status::kOk) return std::nullopt;
   std::lock_guard<std::mutex> lock(session_mu_);
   const std::uint64_t handle = next_session_key_++;
-  sessions_.emplace(handle, SessionRef{conn_index, wire_id});
+  sessions_.emplace(handle, SessionRef{conn, wire_id});
   return handle;
 }
 
@@ -555,34 +425,11 @@ engine::Submission SocketTarget::track(std::uint64_t session, serve::ImuSegment 
     }
     ref = it->second;
   }
-  Conn& conn = *conns_[ref.conn];  // sticky: session FIFO rides one socket
-  engine::Submission out;
-  if (conn.dead.load(std::memory_order_relaxed)) return out;  // kStopped
-  gateway::wire::Frame frame;
-  frame.type = gateway::wire::MsgType::kTrackUpdate;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  frame.cls = options.request_class;
-  frame.deadline_us = wire_deadline_us(options);
-  frame.body = gateway::wire::encode_track_body(ref.wire_id, segment);
-  std::promise<serve::Fix> promise;
-  out.result = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.erase(frame.request_id);
-    out.result = std::future<serve::Fix>();
-    return out;  // kStopped
-  }
-  out.status = engine::SubmitStatus::kAccepted;
-  return out;
+  wire::Frame frame;
+  frame.type = wire::MsgType::kTrackUpdate;
+  frame.body = wire::encode_track_body(ref.wire_id, segment);
+  // Sticky: the session's updates ride one connection, keeping its FIFO.
+  return call_fix(ref.conn, std::move(frame), options);
 }
 
 bool SocketTarget::close_session(std::uint64_t session) {
@@ -594,29 +441,13 @@ bool SocketTarget::close_session(std::uint64_t session) {
     ref = it->second;
     sessions_.erase(it);
   }
-  Conn& conn = *conns_[ref.conn];
-  if (conn.dead.load(std::memory_order_relaxed)) return false;
-  gateway::wire::Frame frame;
-  frame.type = gateway::wire::MsgType::kCloseSession;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  frame.body = gateway::wire::encode_close_session_body(ref.wire_id);
-  std::promise<gateway::wire::Status> promise;
-  std::future<gateway::wire::Status> reply = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.close_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.close_waiters.erase(frame.request_id);
-    return false;
-  }
-  return reply.get() == gateway::wire::Status::kOk;
+  wire::Frame frame;
+  frame.type = wire::MsgType::kCloseSession;
+  frame.body = wire::encode_close_session_body(ref.wire_id);
+  const std::optional<wire::Frame> reply = round_trip(ref.conn, std::move(frame));
+  wire::Status status = wire::Status::kStopped;
+  return reply && reply->type == wire::MsgType::kSessionClosed &&
+         wire::decode_status_body(reply->body, status) && status == wire::Status::kOk;
 }
 
 gateway::GatewayConfig gateway_config_from_env(gateway::GatewayConfig defaults) {

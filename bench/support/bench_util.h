@@ -29,6 +29,7 @@
 #include "fleet/router.h"
 #include "gateway/gateway.h"
 #include "gateway/wire.h"
+#include "net/channel.h"
 
 namespace noble::bench {
 
@@ -131,9 +132,9 @@ class RouterTarget final : public LoadTarget {
   std::uint64_t next_session_ = 1;
 };
 
-/// Live-socket target: N gateway connections, requests fanned round-robin,
-/// one reader thread per connection fulfilling promises as response frames
-/// arrive. submit() is optimistic (kAccepted once the frame is on the
+/// Live-socket target: N gateway connections, each a net::Channel, requests
+/// fanned round-robin; each channel's reader fulfills promises as response
+/// frames arrive. submit() is optimistic (kAccepted once the frame is on the
 /// wire); server-side rejections come back through the future as
 /// WireRejected, deadline lapses as engine::DeadlineExpired. One session's
 /// updates always ride one connection, preserving the engine's per-session
@@ -157,16 +158,22 @@ class SocketTarget final : public LoadTarget {
   std::string name() const override { return "wire"; }
 
  private:
-  struct Conn;
   SocketTarget() = default;
-  Conn& pick_conn();
+  std::size_t pick_conn();
+  /// Sends a kLocate/kTrackUpdate frame on connection `conn`; the future
+  /// settles from its kFix reply.
+  engine::Submission call_fix(std::size_t conn, net::Frame frame,
+                              const engine::SubmitOptions& options);
+  /// Sends `frame` on connection `conn` and blocks for its reply; nullopt
+  /// when the connection is gone.
+  std::optional<net::Frame> round_trip(std::size_t conn, net::Frame frame);
 
   struct SessionRef {
     std::size_t conn = 0;         ///< the connection the session is sticky to
     std::uint64_t wire_id = 0;    ///< the server's id on that connection
   };
 
-  std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<std::unique_ptr<net::Channel>> conns_;
   std::atomic<std::uint64_t> next_conn_{0};
   std::mutex session_mu_;  ///< guards the session handle map
   std::unordered_map<std::uint64_t, SessionRef> sessions_;

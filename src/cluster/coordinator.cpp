@@ -121,12 +121,7 @@ bool Coordinator::on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_
   if (type == proto::MsgType::kHello || type == proto::MsgType::kHeartbeat) {
     proto::NodeInfo info;
     if (!proto::decode_node_info_body(frame.body, info) || info.name.empty()) {
-      net::Frame reply;
-      reply.type = net::kErrorType;
-      reply.request_id = frame.request_id;
-      reply.body = net::encode_text_body("malformed node_info body");
-      conn.send(reply);
-      conn.close_after_flush();
+      conn.fail(frame.request_id, "malformed node_info body");
       return true;
     }
     heartbeats_.inc();
@@ -154,12 +149,7 @@ bool Coordinator::on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_
   }
   // In-vocabulary but wrong direction: rollout replies arrive on the
   // coordinator's own client sockets, never here.
-  net::Frame reply;
-  reply.type = net::kErrorType;
-  reply.request_id = frame.request_id;
-  reply.body = net::encode_text_body("unexpected message type for the coordinator");
-  conn.send(reply);
-  conn.close_after_flush();
+  conn.fail(frame.request_id, "unexpected message type for the coordinator");
   return true;
 }
 

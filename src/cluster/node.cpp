@@ -3,7 +3,6 @@
 #include <chrono>
 #include <deque>
 #include <future>
-#include <unordered_map>
 #include <utility>
 
 #include "gateway/wire.h"
@@ -12,91 +11,6 @@
 namespace noble::cluster {
 
 namespace wire = gateway::wire;
-
-// --- outbound spill connection -----------------------------------------------
-
-/// One socket to one peer, shared by every spilled scan headed there:
-/// senders append frames under send_mu and park a promise under the
-/// request id; the reader thread settles promises in whatever order the
-/// peer answers. Peer loss fails every outstanding promise (the spilled
-/// submissions surface kStopped, which the caller's harness counts as a
-/// shed — never a hang).
-struct NodeAgent::SpillPeer {
-  SpillPeer(net::FrameSocket socket, obs::Counter& completed, obs::Counter& failed)
-      : sock(std::move(socket)), completed(completed), failed(failed) {
-    reader = std::thread([this] { read_loop(); });
-  }
-
-  ~SpillPeer() {
-    sock.shutdown_both();  // unparks the reader at EOF
-    if (reader.joinable()) reader.join();
-  }
-
-  std::future<serve::Fix> enlist(std::uint64_t request_id) {
-    std::lock_guard<std::mutex> lock(pending_mu);
-    return pending.emplace(request_id, std::promise<serve::Fix>())
-        .first->second.get_future();
-  }
-
-  void abandon(std::uint64_t request_id) {
-    std::lock_guard<std::mutex> lock(pending_mu);
-    pending.erase(request_id);
-  }
-
-  bool send(const net::Frame& frame) {
-    std::lock_guard<std::mutex> lock(send_mu);
-    return sock.send_frame(frame);
-  }
-
-  void read_loop() {
-    for (;;) {
-      std::optional<net::Frame> frame = sock.recv_frame(-1);
-      if (!frame) break;  // EOF, peer reset, or malformed stream
-      if (frame->type != proto::MsgType::kSpillResult) break;  // protocol breach
-      wire::Status status = wire::Status::kStopped;
-      serve::Fix fix;
-      if (!wire::decode_fix_body(frame->body, status, fix)) break;
-      std::promise<serve::Fix> waiter;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu);
-        auto it = pending.find(frame->request_id);
-        if (it == pending.end()) continue;  // abandoned after a failed send
-        waiter = std::move(it->second);
-        pending.erase(it);
-      }
-      if (status == wire::Status::kOk) {
-        completed.inc();
-        waiter.set_value(fix);
-      } else {
-        failed.inc();
-        waiter.set_exception(wire::rejection_exception(status));
-      }
-    }
-    fail_all();
-  }
-
-  void fail_all() {
-    std::unordered_map<std::uint64_t, std::promise<serve::Fix>> orphans;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu);
-      orphans.swap(pending);
-    }
-    for (auto& [id, waiter] : orphans) {
-      (void)id;
-      failed.inc();
-      waiter.set_exception(wire::rejection_exception(wire::Status::kStopped));
-    }
-  }
-
-  net::FrameSocket sock;
-  obs::Counter& completed;
-  obs::Counter& failed;
-  std::mutex send_mu;
-  std::atomic<std::uint64_t> next_request_id{1};
-  std::mutex pending_mu;
-  std::unordered_map<std::uint64_t, std::promise<serve::Fix>> pending;
-  std::thread reader;
-};
 
 // --- per-connection server state ---------------------------------------------
 
@@ -107,7 +21,10 @@ struct NodeConnState {
     std::uint64_t request_id = 0;
     std::future<serve::Fix> result;
   };
-  std::deque<Pending> inflight;  ///< admitted spills awaiting their future
+  /// Admitted spills awaiting their future. They die with the connection
+  /// (the engine still fulfills its promises harmlessly); nothing else is
+  /// per-connection — IMU sessions never cross nodes.
+  std::deque<Pending> inflight;
 };
 
 NodeConnState& state_of(net::ServerConn& conn) {
@@ -140,7 +57,7 @@ void NodeAgent::stop() {
     hb_cv_.notify_all();
   }
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-  std::map<std::string, std::shared_ptr<SpillPeer>> conns;
+  std::map<std::string, std::shared_ptr<net::Channel>> conns;
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
     conns.swap(spill_conns_);
@@ -163,19 +80,11 @@ engine::Submission NodeAgent::submit(std::string_view shard_key,
       options.request_class != engine::RequestClass::kBulk || !config_.spill_enabled) {
     return local;
   }
-  std::uint64_t digest = 0;
-  bool found = false;
-  for (const fleet::ShardArtifact& artifact : router_.shard_artifacts()) {
-    if (artifact.shard == shard_key) {
-      digest = artifact.digest;
-      found = true;
-      break;
-    }
-  }
-  if (!found) return local;
-  const std::optional<proto::NodeInfo> peer = pick_spill_peer(shard_key, digest);
+  const std::optional<std::uint64_t> digest = local_digest(shard_key);
+  if (!digest) return local;
+  const std::optional<proto::NodeInfo> peer = pick_spill_peer(shard_key, *digest);
   if (!peer) return local;
-  engine::Submission remote = forward_spill(*peer, shard_key, digest, rssi, options);
+  engine::Submission remote = forward_spill(*peer, shard_key, *digest, rssi, options);
   if (remote.accepted()) return remote;
   return local;
 }
@@ -319,7 +228,7 @@ void NodeAgent::heartbeat_loop() {
 }
 
 void NodeAgent::apply_membership(std::vector<proto::NodeInfo> members) {
-  std::vector<std::shared_ptr<SpillPeer>> dropped;
+  std::vector<std::shared_ptr<net::Channel>> dropped;
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
     peers_ = std::move(members);
@@ -347,6 +256,13 @@ void NodeAgent::apply_membership(std::vector<proto::NodeInfo> members) {
 
 // --- cross-node spill (client side) ------------------------------------------
 
+std::optional<std::uint64_t> NodeAgent::local_digest(std::string_view shard_key) const {
+  for (const fleet::ShardArtifact& artifact : router_.shard_artifacts()) {
+    if (artifact.shard == shard_key) return artifact.digest;
+  }
+  return std::nullopt;
+}
+
 std::optional<proto::NodeInfo> NodeAgent::pick_spill_peer(std::string_view shard_key,
                                                           std::uint64_t digest) const {
   std::lock_guard<std::mutex> lock(peers_mu_);
@@ -368,15 +284,14 @@ std::optional<proto::NodeInfo> NodeAgent::pick_spill_peer(std::string_view shard
   return *best;
 }
 
-std::shared_ptr<NodeAgent::SpillPeer> NodeAgent::peer_conn(const proto::NodeInfo& peer) {
+std::shared_ptr<net::Channel> NodeAgent::peer_conn(const proto::NodeInfo& peer) {
   std::lock_guard<std::mutex> lock(peers_mu_);
   auto it = spill_conns_.find(peer.name);
   if (it != spill_conns_.end()) return it->second;
   std::optional<net::FrameSocket> sock =
       net::FrameSocket::connect(peer.host, peer.port, proto::message_set());
   if (!sock) return nullptr;
-  auto conn = std::make_shared<SpillPeer>(std::move(*sock), spill_completed_,
-                                          spill_failed_);
+  auto conn = std::make_shared<net::Channel>(std::move(*sock));
   spill_conns_.emplace(peer.name, conn);
   return conn;
 }
@@ -388,26 +303,33 @@ engine::Submission NodeAgent::forward_spill(const proto::NodeInfo& peer,
                                             const engine::SubmitOptions& options) {
   engine::Submission out;
   out.status = engine::SubmitStatus::kQueueFull;  // "could not forward" verdict
+  if (options.deadline && *options.deadline <= std::chrono::steady_clock::now()) {
+    out.status = engine::SubmitStatus::kExpired;
+    return out;
+  }
+  std::shared_ptr<net::Channel> conn = peer_conn(peer);
+  if (!conn) return out;
   net::Frame frame;
   frame.type = proto::MsgType::kSpillSubmit;
-  frame.cls = engine::RequestClass::kBulk;
-  if (options.deadline) {
-    const auto now = std::chrono::steady_clock::now();
-    if (*options.deadline <= now) {
-      out.status = engine::SubmitStatus::kExpired;
-      return out;
-    }
-    frame.deadline_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(*options.deadline - now)
-            .count());
-  }
-  std::shared_ptr<SpillPeer> conn = peer_conn(peer);
-  if (!conn) return out;
-  frame.request_id = conn->next_request_id.fetch_add(1, std::memory_order_relaxed);
+  wire::stamp_submit_options(options, frame);
   frame.body = proto::encode_spill_submit_body(shard_key, digest, rssi);
-  std::future<serve::Fix> result = conn->enlist(frame.request_id);
-  if (!conn->send(frame)) {
-    conn->abandon(frame.request_id);
+  // The deadline bounds the call on this side too: a peer that stays
+  // connected but never answers fails the spill with DeadlineExpired.
+  auto waiter = std::make_shared<std::promise<serve::Fix>>();
+  std::future<serve::Fix> result = waiter->get_future();
+  const bool sent = conn->call(
+      std::move(frame), options.deadline,
+      [waiter, &completed = spill_completed_, &failed = spill_failed_](
+          net::Channel::Outcome outcome, net::Frame reply) {
+        serve::Fix fix;
+        const wire::Status status =
+            wire::decode_fix_reply(outcome, reply, proto::MsgType::kSpillResult, fix);
+        // Count before settling: a caller that sees every future resolved
+        // also sees every spill accounted for.
+        (status == wire::Status::kOk ? completed : failed).inc();
+        wire::settle_fix(*waiter, status, fix);
+      });
+  if (!sent) {
     std::lock_guard<std::mutex> lock(peers_mu_);
     auto it = spill_conns_.find(peer.name);
     if (it != spill_conns_.end() && it->second == conn) spill_conns_.erase(it);
@@ -435,12 +357,7 @@ bool NodeAgent::on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_t)
   // In-vocabulary but wrong direction (a node never receives kMembership,
   // kHello, ...): same one-error-frame discipline as a malformed body.
   protocol_errors_.inc();
-  net::Frame reply;
-  reply.type = net::kErrorType;
-  reply.request_id = frame.request_id;
-  reply.body = net::encode_text_body("unexpected message type for a node");
-  conn.send(reply);
-  conn.close_after_flush();
+  conn.fail(frame.request_id, "unexpected message type for a node");
   return true;
 }
 
@@ -450,12 +367,7 @@ void NodeAgent::serve_spill(net::ServerConn& conn, const net::Frame& frame) {
   serve::RssiVector rssi;
   if (!proto::decode_spill_submit_body(frame.body, shard_key, digest, rssi)) {
     protocol_errors_.inc();
-    net::Frame reply;
-    reply.type = net::kErrorType;
-    reply.request_id = frame.request_id;
-    reply.body = net::encode_text_body("malformed spill_submit body");
-    conn.send(reply);
-    conn.close_after_flush();
+    conn.fail(frame.request_id, "malformed spill_submit body");
     return;
   }
   const auto answer = [&](wire::Status status) {
@@ -465,33 +377,20 @@ void NodeAgent::serve_spill(net::ServerConn& conn, const net::Frame& frame) {
     reply.body = wire::encode_fix_body(status, nullptr);
     conn.send(reply);
   };
-  std::uint64_t local_digest = 0;
-  bool found = false;
-  for (const fleet::ShardArtifact& artifact : router_.shard_artifacts()) {
-    if (artifact.shard == shard_key) {
-      local_digest = artifact.digest;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
+  const std::optional<std::uint64_t> served = local_digest(shard_key);
+  if (!served) {
     spill_refused_.inc();
     answer(wire::Status::kNoShard);
     return;
   }
-  if (local_digest != digest) {
+  if (*served != digest) {
     // The bit-identity guard: mid-rollout (or a stale peer table) the
     // requester learns cleanly instead of getting a different model's fix.
     spill_refused_.inc();
     answer(wire::Status::kWrongArtifact);
     return;
   }
-  engine::SubmitOptions options;
-  options.request_class = frame.cls;
-  if (frame.deadline_us > 0) {
-    options.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(frame.deadline_us);
-  }
+  const engine::SubmitOptions options = wire::to_submit_options(frame);
   // Strictly local: a spilled request is never spilled again, so the worst
   // case is one hop and an honest kQueueFull, not a forwarding storm.
   engine::Submission sub = router_.submit(shard_key, rssi, options);
@@ -507,12 +406,7 @@ void NodeAgent::serve_rollout(net::ServerConn& conn, const net::Frame& frame) {
   proto::RolloutCommand cmd;
   if (!proto::decode_rollout_command_body(frame.body, cmd)) {
     protocol_errors_.inc();
-    net::Frame reply;
-    reply.type = net::kErrorType;
-    reply.request_id = frame.request_id;
-    reply.body = net::encode_text_body("malformed rollout_command body");
-    conn.send(reply);
-    conn.close_after_flush();
+    conn.fail(frame.request_id, "malformed rollout_command body");
     return;
   }
   proto::RolloutReport report;
@@ -529,28 +423,25 @@ void NodeAgent::serve_rollout(net::ServerConn& conn, const net::Frame& frame) {
     rollouts_refused_.inc();
     report.status = static_cast<std::uint32_t>(status);
     report.message = std::move(message);
-    for (const fleet::ShardArtifact& artifact : router_.shard_artifacts()) {
-      if (artifact.shard == cmd.shard) report.digest = artifact.digest;
-    }
+    report.digest = local_digest(cmd.shard).value_or(0);
     reply_report();
   };
-  if (!router_.has_shard(cmd.shard)) {
+  const std::optional<std::uint64_t> current = local_digest(cmd.shard);
+  if (!current) {
     refuse(wire::Status::kNoShard, "unknown shard");
     return;
   }
-  for (const fleet::ShardArtifact& artifact : router_.shard_artifacts()) {
-    if (artifact.shard == cmd.shard && fleet::serves_model(artifact.digest, cmd.digest)) {
-      // Idempotent: re-commanding the model a shard already serves must
-      // not churn engines (and would invalidate sticky sessions for
-      // nothing) — the commit stage sweeps every node, canary included.
-      // cmd.digest is the bare model digest; an int8 shard advertises it
-      // precision-tagged, and serves_model() accepts both.
-      report.status = static_cast<std::uint32_t>(wire::Status::kOk);
-      report.digest = cmd.digest;
-      report.message = "already serving this artifact";
-      reply_report();
-      return;
-    }
+  if (fleet::serves_model(*current, cmd.digest)) {
+    // Idempotent: re-commanding the model a shard already serves must not
+    // churn engines (and would invalidate sticky sessions for nothing) —
+    // the commit stage sweeps every node, canary included. cmd.digest is
+    // the bare model digest; an int8 shard advertises it precision-tagged,
+    // and serves_model() accepts both.
+    report.status = static_cast<std::uint32_t>(wire::Status::kOk);
+    report.digest = cmd.digest;
+    report.message = "already serving this artifact";
+    reply_report();
+    return;
   }
   // Loading + hot_swap runs on the handler thread: rollout traffic is rare
   // and small, and blocking one poll pass is simpler than a swap queue.
@@ -585,26 +476,13 @@ bool NodeAgent::on_service(net::ServerConn& conn) {
     net::Frame reply;
     reply.type = proto::MsgType::kSpillResult;
     reply.request_id = it->request_id;
-    try {
-      const serve::Fix fix = it->result.get();
-      spill_served_.inc();
-      reply.body = wire::encode_fix_body(wire::Status::kOk, &fix);
-    } catch (const engine::DeadlineExpired&) {
-      reply.body = wire::encode_fix_body(wire::Status::kDeadlineExpired, nullptr);
-    } catch (...) {
-      reply.body = wire::encode_fix_body(wire::Status::kStopped, nullptr);
-    }
+    wire::Status status = wire::Status::kStopped;
+    reply.body = wire::encode_ready_fix_body(it->result, &status);
+    if (status == wire::Status::kOk) spill_served_.inc();
     conn.send(reply);
     it = state.inflight.erase(it);
   }
   return !state.inflight.empty();
-}
-
-void NodeAgent::on_close(net::ServerConn& conn) {
-  // Pending spill futures die with the connection state; the engine still
-  // fulfills its promises harmlessly. Nothing sticky to release — IMU
-  // sessions never cross nodes.
-  (void)conn;
 }
 
 }  // namespace noble::cluster

@@ -41,6 +41,7 @@
 
 #include "cluster/proto.h"
 #include "fleet/router.h"
+#include "net/channel.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -72,7 +73,7 @@ struct NodeCounters {
   std::uint64_t membership_updates = 0;
   std::uint64_t spill_forwarded = 0;  ///< bulk submissions sent to a peer
   std::uint64_t spill_completed = 0;  ///< forwarded and answered kOk
-  std::uint64_t spill_failed = 0;     ///< forwarded, then rejected/peer lost
+  std::uint64_t spill_failed = 0;     ///< forwarded, then rejected/expired/lost
   std::uint64_t spill_served = 0;     ///< peer requests served locally
   std::uint64_t spill_refused = 0;    ///< peer requests refused (digest/shard)
   std::uint64_t rollouts_applied = 0;
@@ -117,24 +118,21 @@ class NodeAgent final : public fleet::Routing, private net::FrameHandler {
   proto::NodeInfo self_info() const;
 
  private:
-  /// One cached outbound spill connection to a peer: a full-duplex
-  /// FrameSocket with a reader thread settling promises by request id —
-  /// the pipelined-client shape, so N spilled scans share one socket.
-  struct SpillPeer;
-
   // --- net::FrameHandler -----------------------------------------------------
   const net::MessageSet& message_set() const override { return proto::message_set(); }
   bool on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_t recv_ns) override;
   bool on_service(net::ServerConn& conn) override;
-  void on_close(net::ServerConn& conn) override;
 
   void heartbeat_loop();
   void apply_membership(std::vector<proto::NodeInfo> members);
+  /// The artifact digest the local router serves `shard_key` at; nullopt
+  /// when the shard is not here.
+  std::optional<std::uint64_t> local_digest(std::string_view shard_key) const;
   /// Picks the spill target for `shard_key`: alive, not self, same artifact
   /// digest, shallowest reported bulk depth. nullopt when no peer qualifies.
   std::optional<proto::NodeInfo> pick_spill_peer(std::string_view shard_key,
                                                  std::uint64_t digest) const;
-  std::shared_ptr<SpillPeer> peer_conn(const proto::NodeInfo& peer);
+  std::shared_ptr<net::Channel> peer_conn(const proto::NodeInfo& peer);
   engine::Submission forward_spill(const proto::NodeInfo& peer, std::string_view shard_key,
                                    std::uint64_t digest, const serve::RssiVector& rssi,
                                    const engine::SubmitOptions& options);
@@ -156,7 +154,7 @@ class NodeAgent final : public fleet::Routing, private net::FrameHandler {
   /// torn down.
   mutable std::mutex peers_mu_;
   std::vector<proto::NodeInfo> peers_;
-  std::map<std::string, std::shared_ptr<SpillPeer>> spill_conns_;  ///< by peer name
+  std::map<std::string, std::shared_ptr<net::Channel>> spill_conns_;  ///< by peer name
 
   obs::Counter heartbeats_sent_;
   obs::Counter membership_updates_;

@@ -8,15 +8,6 @@ namespace noble::gateway {
 
 namespace {
 
-engine::SubmitOptions to_submit_options(const wire::Frame& frame) {
-  engine::SubmitOptions options;
-  options.request_class = frame.cls;
-  // The wire carries a relative budget (clocks never cross the socket);
-  // resolve it against this host's steady clock at decode time.
-  if (frame.deadline_us > 0) options.expires_in_us(frame.deadline_us);
-  return options;
-}
-
 net::ServerConfig to_server_config(const GatewayConfig& config) {
   net::ServerConfig out;
   out.port = config.port;
@@ -65,9 +56,7 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
     // Body-level protocol violation: same one-error-frame-then-close
     // contract the FrameServer applies to framing-level ones.
     body_malformed_frames_.inc();
-    send_frame(conn, wire::MsgType::kError, frame.request_id,
-               wire::encode_text_body(what));
-    conn.close_after_flush();
+    conn.fail(frame.request_id, what);
     return true;
   };
   // Stage trace for a decoded request frame: decode = kRecv -> kSubmit, the
@@ -96,7 +85,7 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
                    wire::encode_fix_body(wire::Status::kWindowFull, nullptr));
         return true;
       }
-      engine::SubmitOptions options = to_submit_options(frame);
+      engine::SubmitOptions options = wire::to_submit_options(frame);
       options.trace = start_trace();
       engine::Submission s = routing_.submit(shard_key, rssi, options);
       if (s.accepted()) {
@@ -128,7 +117,7 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
                    wire::encode_fix_body(wire::Status::kWindowFull, nullptr));
         return true;
       }
-      engine::SubmitOptions options = to_submit_options(frame);
+      engine::SubmitOptions options = wire::to_submit_options(frame);
       options.trace = start_trace();
       engine::Submission s = routing_.track(it->second, std::move(segment), options);
       if (s.accepted()) {
@@ -215,18 +204,8 @@ std::size_t Listener::settle_inflight(net::ServerConn& conn, ConnState& state) {
       ++it;
       continue;
     }
-    std::string body;
-    try {
-      const serve::Fix fix = it->result.get();
-      body = wire::encode_fix_body(wire::Status::kOk, &fix);
-    } catch (const engine::DeadlineExpired&) {
-      body = wire::encode_fix_body(wire::Status::kDeadlineExpired, nullptr);
-    } catch (const std::exception&) {
-      // Session closed under a pending update, or an engine drained at
-      // shutdown: the request is gone, tell the client so.
-      body = wire::encode_fix_body(wire::Status::kStopped, nullptr);
-    }
-    send_frame(conn, wire::MsgType::kFix, it->request_id, std::move(body));
+    send_frame(conn, wire::MsgType::kFix, it->request_id,
+               wire::encode_ready_fix_body(it->result));
     if (it->trace != nullptr) {
       // The respond stage ends when the response enters the write buffer:
       // the poll loop owns the actual socket flush, and per-frame kernel

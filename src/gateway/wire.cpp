@@ -1,5 +1,7 @@
 #include "gateway/wire.h"
 
+#include <chrono>
+
 #include "nn/serialize.h"
 
 namespace noble::gateway::wire {
@@ -75,6 +77,22 @@ std::exception_ptr rejection_exception(Status status) {
     return std::make_exception_ptr(engine::DeadlineExpired());
   }
   return std::make_exception_ptr(WireRejected(status));
+}
+
+engine::SubmitOptions to_submit_options(const net::Frame& frame) {
+  engine::SubmitOptions options;
+  options.request_class = frame.cls;
+  if (frame.deadline_us > 0) options.expires_in_us(frame.deadline_us);
+  return options;
+}
+
+void stamp_submit_options(const engine::SubmitOptions& options, net::Frame& frame) {
+  frame.cls = options.request_class;
+  frame.deadline_us = 0;
+  if (!options.deadline) return;
+  const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+      *options.deadline - std::chrono::steady_clock::now());
+  frame.deadline_us = left.count() > 0 ? static_cast<std::uint64_t>(left.count()) : 1;
 }
 
 // --- request bodies ----------------------------------------------------------
@@ -162,6 +180,40 @@ bool decode_fix_body(std::string_view body, Status& status, serve::Fix& fix) {
   fix.floor = static_cast<int>(floor);
   fix.fine_class = static_cast<int>(fine_class);
   return true;
+}
+
+std::string encode_ready_fix_body(std::future<serve::Fix>& result, Status* status) {
+  Status code = Status::kStopped;
+  try {
+    const serve::Fix fix = result.get();
+    if (status != nullptr) *status = Status::kOk;
+    return encode_fix_body(Status::kOk, &fix);
+  } catch (const engine::DeadlineExpired&) {
+    code = Status::kDeadlineExpired;
+  } catch (...) {
+    // Any other failure: the request is gone (code stays kStopped).
+  }
+  if (status != nullptr) *status = code;
+  return encode_fix_body(code, nullptr);
+}
+
+Status decode_fix_reply(net::Channel::Outcome outcome, const net::Frame& reply,
+                        net::TypeId reply_type, serve::Fix& fix) {
+  if (outcome == net::Channel::Outcome::kExpired) return Status::kDeadlineExpired;
+  Status status = Status::kStopped;
+  if (outcome != net::Channel::Outcome::kReply || reply.type != reply_type ||
+      !decode_fix_body(reply.body, status, fix)) {
+    return Status::kStopped;
+  }
+  return status;
+}
+
+void settle_fix(std::promise<serve::Fix>& waiter, Status status, const serve::Fix& fix) {
+  if (status == Status::kOk) {
+    waiter.set_value(fix);
+  } else {
+    waiter.set_exception(rejection_exception(status));
+  }
 }
 
 std::string encode_session_opened_body(Status status, std::uint64_t session_id) {

@@ -18,18 +18,23 @@
 // from_submit_status / to_submit_status are total inverse-ish maps (the
 // wire-only codes fold onto their nearest engine verdict on the way back),
 // and rejection_exception() is the single table every client reader uses to
-// turn a non-kOk fix status into the exception the harness counts.
+// turn a non-kOk fix status into the exception the harness counts. Fix
+// replies map once each way: encode_ready_fix_body (server: ready future ->
+// statused body) and decode_fix_reply + settle_fix (client: channel
+// completion -> promise).
 #ifndef NOBLE_GATEWAY_WIRE_H_
 #define NOBLE_GATEWAY_WIRE_H_
 
 #include <cstdint>
 #include <exception>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "engine/engine.h"
 #include "geo/point.h"
+#include "net/channel.h"
 #include "net/frame.h"
 #include "serve/fix.h"
 
@@ -116,6 +121,18 @@ class WireRejected : public std::runtime_error {
 /// WireRejected carrying the status.
 std::exception_ptr rejection_exception(Status status);
 
+// --- header <-> SubmitOptions (one mapping each way) --------------------------
+
+/// The header's class and relative deadline budget as SubmitOptions,
+/// resolved against this host's steady clock at decode time (clocks never
+/// cross the wire).
+engine::SubmitOptions to_submit_options(const net::Frame& frame);
+
+/// Stamps `options`' class and deadline onto `frame` as a relative budget
+/// (0 = none). An already-lapsed deadline becomes the minimum budget (1 us)
+/// so the server still expires it — the client clock never decides.
+void stamp_submit_options(const engine::SubmitOptions& options, net::Frame& frame);
+
 // --- framing (shared codec, gateway vocabulary) ------------------------------
 
 inline std::string encode_frame(const Frame& frame) {
@@ -150,6 +167,25 @@ bool decode_close_session_body(std::string_view body, std::uint64_t& session_id)
 /// status != kOk carries no fix payload.
 std::string encode_fix_body(Status status, const serve::Fix* fix);
 bool decode_fix_body(std::string_view body, Status& status, serve::Fix& fix);
+
+/// Server side, the one ready-future -> reply map: the statused fix body
+/// for a ready `result` — the fix, kDeadlineExpired for
+/// engine::DeadlineExpired, kStopped for any other failure (a session closed
+/// under a pending update, an engine drained at shutdown). `status`, when
+/// non-null, receives the code.
+std::string encode_ready_fix_body(std::future<serve::Fix>& result,
+                                  Status* status = nullptr);
+
+/// Client side, the one reply -> outcome map for a net::Channel fix call: a
+/// `reply_type` frame's carried status (and `fix` when kOk);
+/// kDeadlineExpired for an expired call; kStopped for a lost call, a
+/// wrong-type reply or an undecodable body.
+Status decode_fix_reply(net::Channel::Outcome outcome, const net::Frame& reply,
+                        net::TypeId reply_type, serve::Fix& fix);
+
+/// Settles a client's waiting promise: `fix` for kOk, rejection_exception()
+/// of `status` otherwise.
+void settle_fix(std::promise<serve::Fix>& waiter, Status status, const serve::Fix& fix);
 
 std::string encode_session_opened_body(Status status, std::uint64_t session_id);
 bool decode_session_opened_body(std::string_view body, Status& status,

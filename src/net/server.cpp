@@ -30,6 +30,15 @@ void ServerConn::send(const Frame& frame) {
   server_->frames_sent_.inc();
 }
 
+void ServerConn::fail(std::uint64_t request_id, std::string_view reason) {
+  Frame reply;
+  reply.type = kErrorType;
+  reply.request_id = request_id;
+  reply.body = encode_text_body(reason);
+  send(reply);
+  closing_ = true;
+}
+
 FrameServer::FrameServer(FrameHandler& handler, ServerConfig config)
     : handler_(handler), config_(std::move(config)) {}
 
@@ -241,13 +250,9 @@ bool FrameServer::handle_readable(ServerConn& conn) {
         return true;
       case DecodeResult::kMalformed: {
         malformed_frames_.inc();
-        Frame reply;
-        reply.type = kErrorType;
-        reply.body = encode_text_body(error);
-        conn.send(reply);
         // One error frame, then close: there is no resync point in a
         // length-prefixed stream once the prefix itself is untrusted.
-        conn.closing_ = true;
+        conn.fail(0, error);
         return true;
       }
       case DecodeResult::kFrame:

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -64,6 +65,10 @@ class ServerConn {
   /// Encodes `frame` into the write buffer; the poll loop flushes it as the
   /// socket drains.
   void send(const Frame& frame);
+
+  /// The one-error-frame contract: sends a kError frame naming `reason`
+  /// (echoing `request_id`), then closes after the flush.
+  void fail(std::uint64_t request_id, std::string_view reason);
 
   /// Flush the write buffer and pending work, then close. The poll loop
   /// keeps servicing the connection (on_service still runs) until both the
@@ -111,7 +116,7 @@ class FrameHandler {
   /// One decoded frame. `recv_ns` is the arrival stamp of the read pass
   /// that carried it (0 unless stamp_arrivals()). Return false to close
   /// the connection immediately (protocol violations that want the
-  /// one-error-frame path should send + close_after_flush and return true).
+  /// one-error-frame path call conn.fail() and return true).
   virtual bool on_frame(ServerConn& conn, Frame frame, std::uint64_t recv_ns) = 0;
 
   /// Called once per poll pass per connection (frames or not): settle

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 
 namespace noble::net {
 
@@ -32,7 +33,7 @@ std::optional<FrameSocket> FrameSocket::connect(const std::string& host,
 FrameSocket::FrameSocket(FrameSocket&& other) noexcept
     : fd_(other.fd_),
       set_(other.set_),
-      broken_(other.broken_),
+      broken_(other.broken_.load(std::memory_order_relaxed)),
       inbuf_(std::move(other.inbuf_)) {
   other.fd_ = -1;
 }
@@ -42,7 +43,8 @@ FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     set_ = other.set_;
-    broken_ = other.broken_;
+    broken_.store(other.broken_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
     inbuf_ = std::move(other.inbuf_);
     other.fd_ = -1;
   }
@@ -65,31 +67,37 @@ bool FrameSocket::send_frame(const Frame& frame) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    broken_ = true;
+    broken_.store(true, std::memory_order_relaxed);
     return false;
   }
   return true;
 }
 
 std::optional<Frame> FrameSocket::recv_frame(int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
   if (!valid()) return std::nullopt;
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
     Frame frame;
     switch (decode_frame(*set_, inbuf_, frame)) {
       case DecodeResult::kFrame:
         return frame;
       case DecodeResult::kMalformed:
-        broken_ = true;
+        broken_.store(true, std::memory_order_relaxed);
         return std::nullopt;
       case DecodeResult::kNeedMore:
         break;
     }
+    // Each poll waits only for what is left of the call's budget.
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    const int wait_ms = timeout_ms < 0 ? -1 : left > 0 ? static_cast<int>(left) : 0;
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
+    const int ready = ::poll(&pfd, 1, wait_ms);
     if (ready == 0) return std::nullopt;  // timeout; socket stays usable
     if (ready < 0) {
       if (errno == EINTR) continue;
-      broken_ = true;
+      broken_.store(true, std::memory_order_relaxed);
       return std::nullopt;
     }
     char chunk[65536];
@@ -99,7 +107,8 @@ std::optional<Frame> FrameSocket::recv_frame(int timeout_ms) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    broken_ = true;  // orderly close or hard error: no more frames will come
+    // Orderly close or hard error: no more frames will come.
+    broken_.store(true, std::memory_order_relaxed);
     return std::nullopt;
   }
 }

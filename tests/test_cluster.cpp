@@ -1,10 +1,11 @@
 // Cluster tests: proto body codecs (round trips, hostile bytes per frame
 // type — one kError frame, peer state untouched), coordinator membership
 // and heartbeat-loss death verdicts, cross-node bulk spill (bit-identical
-// fixes, digest guard), and the staged canary -> probe -> commit rollout.
+// fixes, digest guard, a silent peer never strands a spill), and the staged
+// canary -> probe -> commit rollout.
 //
 // The suite carries the `concurrency` CTest label: coordinator and node
-// FrameServers, heartbeat threads, spill reader threads and engine workers
+// FrameServers, heartbeat threads, spill channel readers and engine workers
 // all interleave here.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -529,6 +531,131 @@ TEST(ClusterSpill, PrecisionIsPartOfTheSpillDigest) {
       << "an int8 shard must not spill to an fp32 peer";
   EXPECT_EQ(b.agent->counters().spill_served, 0u);
   for (auto& result : accepted) result.wait();
+}
+
+/// A fleet member that is only a heartbeat and a cluster port: it
+/// advertises bldg-A at `digest` with an empty bulk lane (the most
+/// attractive spill target there is), answers the first kSpillSubmit with a
+/// wrong-type frame, and ignores every later one while keeping the
+/// connection open.
+class StrandingPeer final : public net::FrameHandler {
+ public:
+  static constexpr const char* kName = "stranding-peer";
+
+  StrandingPeer(std::uint16_t coordinator_port, std::uint64_t digest) {
+    EXPECT_TRUE(server_.start());
+    heartbeat_ = std::thread([this, coordinator_port, digest] {
+      heartbeat_loop(coordinator_port, digest);
+    });
+  }
+  ~StrandingPeer() override {
+    running_.store(false);
+    heartbeat_.join();
+    server_.stop();
+  }
+
+  const net::MessageSet& message_set() const override { return proto::message_set(); }
+  bool on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_t) override {
+    if (frame.type == proto::MsgType::kSpillSubmit && !breached_.exchange(true)) {
+      net::Frame wrong;
+      wrong.type = proto::MsgType::kMembership;
+      wrong.request_id = frame.request_id;
+      wrong.body = proto::encode_membership_body({});
+      conn.send(wrong);
+    }
+    return true;
+  }
+
+ private:
+  void heartbeat_loop(std::uint16_t coordinator_port, std::uint64_t digest) {
+    proto::NodeInfo self;
+    self.name = kName;
+    self.host = "127.0.0.1";
+    self.port = server_.port();
+    proto::ShardState shard;
+    shard.key = "bldg-A";
+    shard.digest = digest;
+    self.shards.push_back(shard);
+    std::optional<net::FrameSocket> sock;
+    std::uint64_t seq = 0;
+    while (running_.load()) {
+      if (!sock || !sock->valid()) {
+        sock = net::FrameSocket::connect("127.0.0.1", coordinator_port,
+                                         proto::message_set());
+        seq = 0;
+      }
+      if (sock) {
+        net::Frame beat;
+        beat.type = seq == 0 ? proto::MsgType::kHello : proto::MsgType::kHeartbeat;
+        beat.request_id = ++seq;
+        beat.body = proto::encode_node_info_body(self);
+        if (sock->send_frame(beat)) (void)sock->recv_frame(200);  // the kMembership echo
+      }
+      std::this_thread::sleep_for(50ms);
+    }
+  }
+
+  std::atomic<bool> running_{true};
+  std::atomic<bool> breached_{false};
+  net::FrameServer server_{*this};
+  std::thread heartbeat_;
+};
+
+// A peer that breaks protocol once and then stays connected and silent must
+// not strand a spill: every accepted future resolves by its deadline (the
+// breach as a rejection, the silence as DeadlineExpired), every failure is
+// counted, and stop() does not wait on the peer.
+TEST(ClusterSpill, SilentPeerAfterAProtocolBreachStillResolvesEverySpill) {
+  Coordinator coordinator(CoordinatorConfig{});
+  ASSERT_TRUE(coordinator.start());
+  LiveNode a("node-a", coordinator.port(), shard_config(2, 1), localizer_v1());
+  std::uint64_t digest = 0;
+  for (const fleet::ShardArtifact& artifact : a.router.shard_artifacts()) {
+    if (artifact.shard == "bldg-A") digest = artifact.digest;
+  }
+  StrandingPeer peer(coordinator.port(), digest);
+  ASSERT_TRUE(wait_until([&] { return sees_alive_peer(*a.agent, StrandingPeer::kName); }));
+
+  const auto queries = test_queries(32);
+  ASSERT_FALSE(queries.empty());
+  std::vector<std::future<serve::Fix>> accepted;
+  std::vector<std::chrono::steady_clock::time_point> deadlines;
+  for (std::size_t round = 0; round < 4; ++round) {
+    for (const auto& query : queries) {
+      engine::SubmitOptions bulk = engine::SubmitOptions::bulk();
+      bulk.expires_in_us(200'000);
+      engine::Submission sub = a.agent->submit("bldg-A", query, bulk);
+      if (sub.accepted()) {
+        accepted.push_back(std::move(sub.result));
+        deadlines.push_back(*bulk.deadline);
+      }
+    }
+  }
+  EXPECT_GT(a.agent->counters().spill_forwarded, 1u)
+      << "the flood must spill both into the breach and into the silence";
+
+  std::size_t rejected = 0;
+  std::size_t expired = 0;
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    ASSERT_EQ(accepted[i].wait_until(deadlines[i] + 1s), std::future_status::ready)
+        << "accepted submission " << i << " is stranded past its deadline";
+    try {
+      (void)accepted[i].get();
+    } catch (const engine::DeadlineExpired&) {
+      ++expired;
+    } catch (const wire::WireRejected&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 1u) << "the wrong-type reply fails exactly its own spill";
+  EXPECT_GT(expired, 0u);
+  const NodeCounters counters = a.agent->counters();
+  EXPECT_EQ(counters.spill_completed, 0u);
+  EXPECT_EQ(counters.spill_failed, counters.spill_forwarded);
+
+  const auto stop_started = std::chrono::steady_clock::now();
+  a.agent->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_started, 2s);
 }
 
 // ---------------------------------------------------------------------------
