@@ -105,8 +105,9 @@ int main() {
               static_cast<unsigned long long>(stats.batches),
               stats.batch_size.mean(), stats.batch_size.max_recorded(),
               cfg.max_batch);
+  const LatencySummary latency = summarize_latency_us(stats.latency_us);
   std::printf("  end-to-end latency: p50 %.0f us, p95 %.0f us, p99 %.0f us\n",
-              stats.latency_p50_us, stats.latency_p95_us, stats.latency_p99_us);
+              latency.p50_us, latency.p95_us, latency.p99_us);
 
   return mismatched == 0 && checked == queries.size() ? 0 : 1;
 }

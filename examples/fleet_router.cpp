@@ -101,22 +101,23 @@ int main() {
   for (const auto& q : queries) gate("bldg-A", q, localizer.locate(q));
 
   const fleet::FleetStats stats = router.stats();
-  std::printf("\nfleet telemetry (%zu shards, %zu engines):\n", stats.num_shards,
+  std::printf("\nfleet telemetry (%zu shards, %zu engines):\n", stats.shards.size(),
               stats.num_engines);
   for (const auto& [key, shard_stats] : stats.shards) {
+    const LatencySummary latency = summarize_latency_us(shard_stats.latency_us);
     std::printf("  %-8s completed %6llu, batches %5llu, cache %llu/%llu hit/miss, "
                 "p50 %7.0f us, p99 %7.0f us\n",
                 key.c_str(), static_cast<unsigned long long>(shard_stats.completed),
                 static_cast<unsigned long long>(shard_stats.batches),
                 static_cast<unsigned long long>(shard_stats.cache_hits),
                 static_cast<unsigned long long>(shard_stats.cache_misses),
-                shard_stats.latency_p50_us, shard_stats.latency_p99_us);
+                latency.p50_us, latency.p99_us);
   }
+  const LatencySummary merged = summarize_latency_us(stats.total.latency_us);
   std::printf("  %-8s completed %6llu (merged p50 %7.0f us, p95 %7.0f us, "
               "p99 %7.0f us)\n",
               "total", static_cast<unsigned long long>(stats.total.completed),
-              stats.total.latency_p50_us, stats.total.latency_p95_us,
-              stats.total.latency_p99_us);
+              merged.p50_us, merged.p95_us, merged.p99_us);
 
   const bool cache_worked = stats.shards.at("bldg-A").cache_hits > 0;
   std::printf("cache fast path: %llu admission hits on the repeat pass%s\n",

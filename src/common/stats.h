@@ -124,9 +124,9 @@ class Histogram {
   double max_rec_;
 };
 
-/// The percentile triple every serving surface reports. Extracted from a
-/// latency Histogram once at snapshot/merge time so engine telemetry,
-/// fleet views and bench tables all summarize the same way.
+/// The percentile triple every serving surface reports. Computed from a
+/// latency Histogram when read, never stored beside it, so the scrape
+/// page, examples and bench tables all summarize the same way.
 struct LatencySummary {
   double p50_us = 0.0;
   double p95_us = 0.0;

@@ -82,7 +82,6 @@ void Engine::expire_promise(std::promise<serve::Fix>& promise, RequestClass cls)
 Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& options) {
   const std::size_t cls = request_class_index(options.request_class);
   if (rssi.size() != num_aps()) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kBadDimension, {}};
   }
@@ -98,13 +97,12 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   if (cached) {
     if (std::optional<serve::Fix> hit = cache_->get(rssi)) {
       // Admission-control fast path: answered without touching the queue.
-      // Counted like any other request (submitted/completed/latency) so the
-      // stats invariants hold with the cache on. record_completion takes
+      // Counted like any other request (accepted/latency) so the stats
+      // invariants hold with the cache on. record_completion takes
       // stats_mu_ once; the promise/future machinery dominates the hit
       // cost, not that short critical section.
       std::promise<serve::Fix> promise;
       std::future<serve::Fix> result = promise.get_future();
-      submitted_.inc();
       class_accepted_[cls].inc();
       cache_hits_.inc();
       if (options.trace != nullptr) {
@@ -131,7 +129,6 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   // Counted before the push: once the queue has the request a worker may
   // complete it immediately, and stats() must never observe
   // completed > submitted.
-  submitted_.inc();
   class_accepted_[cls].inc();
   // Stamped before the push: after it, a worker may already own the trace
   // (the queue handoff is the happens-before edge for the later marks).
@@ -139,9 +136,7 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   const PushResult pushed =
       queue_.try_push(Request{std::move(request)}, options.request_class, deadline);
   if (pushed != PushResult::kOk) {
-    submitted_.sub();
     class_accepted_[cls].sub();
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {pushed == PushResult::kClosed ? SubmitStatus::kStopped
                                           : SubmitStatus::kQueueFull,
@@ -172,12 +167,10 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
     if (it != sessions_.end()) state = it->second;
   }
   if (state == nullptr) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kNoSession, {}};
   }
   if (segment.size() != imu_->segment_dim()) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kBadDimension, {}};
   }
@@ -191,12 +184,10 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
 
   std::lock_guard<std::mutex> lock(state->mu);
   if (state->closed) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kNoSession, {}};
   }
   if (state->pending.size() >= config_.session_backlog) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kQueueFull, {}};
   }
@@ -206,7 +197,6 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
   // Same ordering as submit(): count before the work can become visible to
   // a worker, roll back on rejection. Admission for a session update means
   // entering its FIFO (the session mutex is the handoff edge).
-  submitted_.inc();
   class_accepted_[cls].inc();
   if (options.trace != nullptr) options.trace->stamp(obs::Mark::kAdmitted);
   state->pending.push_back(std::move(update));
@@ -218,9 +208,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
         queue_.try_push(Request{SessionWork{session}}, options.request_class);
     if (pushed != PushResult::kOk) {
       state->pending.pop_back();
-      submitted_.sub();
       class_accepted_[cls].sub();
-      rejected_.inc();
       class_rejected_[cls].inc();
       return {pushed == PushResult::kClosed ? SubmitStatus::kStopped
                                             : SubmitStatus::kQueueFull,
@@ -254,9 +242,6 @@ EngineStats Engine::stats() const {
   EngineStats snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot.completed = completed_;
-    snapshot.batches = batches_;
-    snapshot.imu_batches = imu_batches_;
     snapshot.batch_size = batch_hist_;
     snapshot.imu_batch_size = imu_batch_hist_;
     snapshot.queue_wait_us = queue_wait_hist_;
@@ -268,20 +253,24 @@ EngineStats Engine::stats() const {
   // every completion is recorded in exactly one class.
   snapshot.latency_us = snapshot.interactive.latency_us;
   snapshot.latency_us.merge(snapshot.bulk.latency_us);
-  // Read after completed_: every completion was counted in submitted_
-  // first, so this order keeps submitted >= completed in the snapshot.
-  snapshot.submitted = submitted_.value();
-  snapshot.rejected = rejected_.value();
-  snapshot.interactive.accepted = class_accepted_[0].value();
-  snapshot.interactive.rejected = class_rejected_[0].value();
-  snapshot.interactive.expired = class_expired_[0].value();
-  snapshot.bulk.accepted = class_accepted_[1].value();
-  snapshot.bulk.rejected = class_rejected_[1].value();
-  snapshot.bulk.expired = class_expired_[1].value();
-  snapshot.expired = snapshot.interactive.expired + snapshot.bulk.expired;
-  snapshot.queue_depth = queue_.depth();
-  snapshot.interactive.queue_depth = queue_.depth(RequestClass::kInteractive);
-  snapshot.bulk.queue_depth = queue_.depth(RequestClass::kBulk);
+  snapshot.completed = snapshot.latency_us.count();
+  snapshot.batches = snapshot.batch_size.count();
+  snapshot.imu_batches = snapshot.imu_batch_size.count();
+  // Read after the histograms: every completion was counted in its class's
+  // accepted counter first, so this order keeps submitted >= completed.
+  for (const RequestClass cls : {RequestClass::kInteractive, RequestClass::kBulk}) {
+    const std::size_t i = request_class_index(cls);
+    ClassStats& split = cls == RequestClass::kInteractive ? snapshot.interactive
+                                                          : snapshot.bulk;
+    split.accepted = class_accepted_[i].value();
+    split.rejected = class_rejected_[i].value();
+    split.expired = class_expired_[i].value();
+    snapshot.submitted += split.accepted;
+    snapshot.rejected += split.rejected;
+    snapshot.expired += split.expired;
+  }
+  snapshot.set_queue_depths(queue_.depth(RequestClass::kInteractive),
+                            queue_.depth(RequestClass::kBulk));
   if (cache_.has_value()) {
     const CacheStats cache = cache_->stats();
     snapshot.cache_hits = cache_hits_.value();
@@ -292,12 +281,6 @@ EngineStats Engine::stats() const {
   snapshot.batch_wait_us = config_.adaptive_wait
                                ? batch_wait_us_.load(std::memory_order_relaxed)
                                : config_.max_wait_us;
-  const LatencySummary total = summarize_latency_us(snapshot.latency_us);
-  snapshot.latency_p50_us = total.p50_us;
-  snapshot.latency_p95_us = total.p95_us;
-  snapshot.latency_p99_us = total.p99_us;
-  snapshot.interactive.latency = summarize_latency_us(snapshot.interactive.latency_us);
-  snapshot.bulk.latency = summarize_latency_us(snapshot.bulk.latency_us);
   return snapshot;
 }
 
@@ -307,7 +290,13 @@ void ClassStats::merge(const ClassStats& other) {
   expired += other.expired;
   queue_depth += other.queue_depth;
   latency_us.merge(other.latency_us);
-  latency = summarize_latency_us(latency_us);
+}
+
+void EngineStats::set_queue_depths(std::size_t interactive_depth,
+                                   std::size_t bulk_depth) {
+  interactive.queue_depth = interactive_depth;
+  bulk.queue_depth = bulk_depth;
+  queue_depth = interactive_depth + bulk_depth;
 }
 
 void EngineStats::merge(const EngineStats& other) {
@@ -330,10 +319,6 @@ void EngineStats::merge(const EngineStats& other) {
   latency_us.merge(other.latency_us);
   interactive.merge(other.interactive);
   bulk.merge(other.bulk);
-  const LatencySummary total = summarize_latency_us(latency_us);
-  latency_p50_us = total.p50_us;
-  latency_p95_us = total.p95_us;
-  latency_p99_us = total.p99_us;
 }
 
 void Engine::worker_loop(std::size_t worker_index) {
@@ -458,11 +443,9 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++batches_;
     batch_hist_.record(static_cast<double>(batch.size()));
     assembly_hist_.record(
         assembled_ns > dequeued_ns ? (assembled_ns - dequeued_ns) / 1000.0 : 0.0);
-    completed_ += batch.size();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       queue_wait_hist_.record(waits_us[i]);
       class_latency_[request_class_index(batch[i].cls)].record(
@@ -591,11 +574,9 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
       // of the per-update overhead coalescing exists to amortize.
       double wait_sum_us = 0.0;
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++imu_batches_;
       imu_batch_hist_.record(static_cast<double>(n));
       assembly_hist_.record(
           assembled_ns > dequeued_ns ? (assembled_ns - dequeued_ns) / 1000.0 : 0.0);
-      completed_ += n;
       for (const PendingUpdate& update : updates) {
         const double wait_us = std::max(
             0.0, std::chrono::duration<double, std::micro>(now - update.submitted_at)
@@ -622,7 +603,6 @@ void Engine::record_completion(const Clock::time_point& submitted_at,
                                RequestClass cls) {
   const double latency_us = us_since(submitted_at);  // clock read outside the lock
   std::lock_guard<std::mutex> lock(stats_mu_);
-  ++completed_;
   class_latency_[request_class_index(cls)].record(latency_us);
 }
 

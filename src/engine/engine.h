@@ -45,9 +45,12 @@
 // ordered while different tracks proceed in parallel, and the pending
 // updates of every session one pop covers are served in batched IMU passes.
 //
-// Telemetry: `stats()` snapshots queue depth, accept/reject/complete
-// counters, the micro-batch-size distribution and end-to-end latency
-// percentiles, all built on noble::Histogram.
+// Telemetry: `stats()` snapshots per-class queue depths and admission
+// counters plus the batch-size, queue-wait, assembly and latency histograms
+// (noble::Histogram). Each fact has one owner: totals are sums of the class
+// splits, completion and batch counts are histogram counts, and percentiles
+// are computed from the histograms by whoever reads them
+// (summarize_latency_us).
 #ifndef NOBLE_ENGINE_ENGINE_H_
 #define NOBLE_ENGINE_ENGINE_H_
 
@@ -191,20 +194,24 @@ struct ClassStats {
   std::uint64_t rejected = 0;  ///< kQueueFull/kBadDimension/kStopped verdicts
   std::uint64_t expired = 0;   ///< kExpired at submit + DeadlineExpired futures
   /// Instantaneous depth of this class's queue lane — the split of
-  /// EngineStats::queue_depth the Router's bulk spill and the obs labeled
-  /// depth gauges read.
+  /// EngineStats::queue_depth the obs labeled depth gauges read.
   std::size_t queue_depth = 0;
-  Histogram latency_us = Histogram::latency_us();  ///< submit -> fulfilled
-  /// p50/p95/p99 extracted from latency_us at snapshot/merge time.
-  LatencySummary latency;
+  /// submit -> fulfilled; percentiles via summarize_latency_us(latency_us).
+  Histogram latency_us = Histogram::latency_us();
 
-  /// Counters sum, histograms merge() bin-wise, percentiles recompute.
+  /// Counters and depths sum, the histogram merge()s bin-wise.
   void merge(const ClassStats& other);
 };
 
 /// Telemetry snapshot. Histograms share noble::Histogram's fixed layouts,
 /// so snapshots from several engines can be merge()d for fleet views —
 /// that is exactly what fleet::Router::stats() does.
+///
+/// The snapshot is a derived view: Engine::stats() fills `submitted`,
+/// `rejected`, `expired` and `queue_depth` as interactive + bulk, and
+/// `completed`, `batches` and `imu_batches` as the counts of `latency_us`,
+/// `batch_size` and `imu_batch_size`. Nothing stores a percentile; read one
+/// with summarize_latency_us() or Histogram::percentile().
 struct EngineStats {
   std::uint64_t submitted = 0;  ///< accepted (queued or served from cache)
   std::uint64_t rejected = 0;   ///< non-kAccepted submissions (kExpired aside)
@@ -215,8 +222,8 @@ struct EngineStats {
   /// one, of size >= 1; a pass spans every session one pop covered).
   std::uint64_t imu_batches = 0;
   std::size_t queue_depth = 0;  ///< instantaneous shared-queue depth
-  /// Per-class splits of the admission counters and latencies. The totals
-  /// above are exactly interactive + bulk (latency_us is their merge).
+  /// Per-class splits of the admission counters, depths and latencies. The
+  /// totals above are exactly interactive + bulk (latency_us is their merge).
   ClassStats interactive;
   ClassStats bulk;
   /// Fingerprint-cache counters (all zero when the cache is disabled).
@@ -240,20 +247,19 @@ struct EngineStats {
   Histogram queue_wait_us = Histogram::latency_us();
   Histogram assembly_us = Histogram::latency_us();
   Histogram latency_us = Histogram::latency_us();   ///< submit -> fulfilled
-  /// Convenience percentiles extracted from latency_us at snapshot time.
-  double latency_p50_us = 0.0;
-  double latency_p95_us = 0.0;
-  double latency_p99_us = 0.0;
 
   /// Per-class view by enum (read-only convenience over the named fields).
   const ClassStats& for_class(RequestClass cls) const {
     return cls == RequestClass::kInteractive ? interactive : bulk;
   }
 
+  /// Sets both lane depths and queue_depth as their sum, so the total and
+  /// its class split can never disagree.
+  void set_queue_depths(std::size_t interactive_depth, std::size_t bulk_depth);
+
   /// Folds another engine's snapshot into this one: counters and gauges
   /// sum (batch_wait_us takes the max — it is a window, not a count), the
-  /// histograms (total and per-class) merge() bin-wise, and the
-  /// convenience percentiles are recomputed from the merged histograms.
+  /// histograms (total and per-class) merge() bin-wise.
   void merge(const EngineStats& other);
 };
 
@@ -415,22 +421,22 @@ class Engine {
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
   /// submitter threads increment without sharing a cache line, and the
-  /// EngineStats snapshot stays exactly what it was — a struct *view* over
-  /// the instruments, folded at stats() time.
-  obs::Counter submitted_;
-  obs::Counter rejected_;
-  /// Per-class admission counters, indexed by class_index().
+  /// EngineStats snapshot is a struct *view* over the instruments, folded
+  /// at stats() time. Per-class only, indexed by request_class_index(): the
+  /// snapshot's totals are their sums.
   obs::Counter class_accepted_[kNumRequestClasses];
   obs::Counter class_rejected_[kNumRequestClasses];
   obs::Counter class_expired_[kNumRequestClasses];
   /// Cache admission outcomes, engine-owned rather than read from the
   /// cache's own counters: a miss is only counted once the Wi-Fi scan is
   /// actually admitted to the queue, so kQueueFull retry loops cannot
-  /// deflate the hit rate. (IMU updates count in submitted_ only — they
-  /// are stateful and never cached.)
+  /// deflate the hit rate. (IMU updates count in class_accepted_ only —
+  /// they are stateful and never cached.)
   obs::Counter cache_hits_;
   obs::Counter cache_misses_;
-  mutable std::mutex stats_mu_;  ///< guards the fields below
+  /// Guards the histograms below. Their counts are the snapshot's batch
+  /// and completion counters, so no separate counter shadows them.
+  mutable std::mutex stats_mu_;
   Histogram batch_hist_ = Histogram::batch_sizes();
   Histogram imu_batch_hist_ = Histogram::batch_sizes();
   Histogram queue_wait_hist_ = Histogram::latency_us();
@@ -439,9 +445,6 @@ class Engine {
   /// their merge, so every completion is recorded exactly once.
   Histogram class_latency_[kNumRequestClasses] = {Histogram::latency_us(),
                                                   Histogram::latency_us()};
-  std::uint64_t completed_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t imu_batches_ = 0;
 
   mutable std::mutex sessions_mu_;  ///< guards the registry map only
   std::unordered_map<SessionId, std::shared_ptr<SessionState>> sessions_;

@@ -213,38 +213,36 @@ bool Router::swap_impl(std::string_view key, const serve::WifiLocalizer& wifi,
 FleetStats Router::stats() const {
   FleetStats out;
   std::shared_lock<std::shared_mutex> lock(mu_);
-  out.num_shards = shards_.size();
   // Depth gauges first, in one tight pass: eng->stats() copies whole
   // histograms, and interleaving depth reads with those copies used to put
   // milliseconds between the first and last engine's gauge — under load the
   // "fleet depth" was a smear of instants that disagreed with the per-engine
-  // sum. One quick pass (a queue-lock each, no copies) nails every depth to
-  // nearly the same instant; the stats copies below then *overwrite* their
-  // own interleaved depth reads with the pass's values, which is what makes
-  // the FleetStats consistency contract (total.queue_depth == queue_depth ==
-  // sum of per-shard depths) hold exactly.
-  std::map<std::string, std::vector<std::size_t>> depth_pass;
+  // sum. One quick pass (queue locks only, no copies) nails every lane depth
+  // to nearly the same instant; the stats copies below then *overwrite*
+  // their own depth reads with the pass's values, which is what makes the
+  // FleetStats consistency contract hold exactly. One (interactive, bulk)
+  // pair per engine, in registry order.
+  std::vector<std::pair<std::size_t, std::size_t>> depths;
   for (const auto& [key, shard] : shards_) {
-    std::vector<std::size_t>& depths = depth_pass[key];
-    depths.reserve(shard->engines.size());
     for (const auto& eng : shard->engines) {
-      depths.push_back(eng->queue_depth());
-      out.queue_depth += depths.back();
+      depths.emplace_back(eng->queue_depth(engine::RequestClass::kInteractive),
+                          eng->queue_depth(engine::RequestClass::kBulk));
     }
   }
+  out.num_engines = depths.size();
+  auto depth = depths.begin();
   for (const auto& [key, shard] : shards_) {
-    const std::vector<std::size_t>& depths = depth_pass[key];
     engine::EngineStats merged;
-    for (std::size_t e = 0; e < shard->engines.size(); ++e) {
-      engine::EngineStats snap = shard->engines[e]->stats();
-      snap.queue_depth = depths[e];
+    for (const auto& eng : shard->engines) {
+      engine::EngineStats snap = eng->stats();
+      snap.set_queue_depths(depth->first, depth->second);
+      ++depth;
       merged.merge(snap);
-      ++out.num_engines;
     }
     out.total.merge(merged);
     out.shards.emplace(key, std::move(merged));
-    out.artifacts.emplace(
-        key, ArtifactInfo{shard->config.artifact_digest, shard->generation});
+    out.artifacts.push_back(
+        ShardArtifact{key, shard->config.artifact_digest, shard->generation});
   }
   return out;
 }

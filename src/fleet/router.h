@@ -81,39 +81,6 @@ struct FleetSession {
   engine::SessionId id = 0;
 };
 
-/// Fleet-wide telemetry built by merge()-ing per-engine EngineStats.
-///
-/// Consistency contract for the queue-depth gauges: Router::stats() reads
-/// every engine's depth in one tight pass *before* the (much slower)
-/// histogram-copying stats snapshots, then overwrites each snapshot's own
-/// depth with the pass's value. Consequently `queue_depth`,
-/// `total.queue_depth`, and the sum of `shards[*].queue_depth` are all the
-/// same sum of per-engine reads taken within microseconds of each other —
-/// never a smear of instants milliseconds apart. (Depths remain gauges: the
-/// pass is near-simultaneous, not an atomic cut across engines, and the
-/// *counter* fields are still read at each engine's own snapshot instant.)
-/// Identity of what a shard currently serves: artifact digest + the shard
-/// generation serving it. The cluster's heartbeat payload and the scrape
-/// page's artifact gauges are views of this.
-struct ArtifactInfo {
-  std::uint64_t digest = 0;
-  std::uint64_t generation = 0;
-};
-
-struct FleetStats {
-  engine::EngineStats total;  ///< merged across every engine of every shard
-  std::map<std::string, engine::EngineStats> shards;  ///< merged per shard
-  /// Per-shard artifact identity (digest + live generation).
-  std::map<std::string, ArtifactInfo> artifacts;
-  std::size_t num_shards = 0;
-  std::size_t num_engines = 0;
-  /// Live fleet-wide queue depth from the single depth pass (see contract
-  /// above): always exactly equal to total.queue_depth. This gauge is the
-  /// cheap one overload dashboards (the gateway Stats page, the load
-  /// harness) poll.
-  std::size_t queue_depth = 0;
-};
-
 /// Instantaneous per-engine queue depths of one shard, in engine order.
 struct ShardDepths {
   std::string shard;
@@ -125,11 +92,33 @@ struct ShardDepths {
   std::vector<std::size_t> bulk;
 };
 
-/// One shard's artifact identity, flattened for heartbeat payloads.
+/// Identity of what a shard currently serves: artifact digest + the shard
+/// generation serving it. The cluster's heartbeat payload and the scrape
+/// page's artifact gauges are views of this.
 struct ShardArtifact {
   std::string shard;
   std::uint64_t digest = 0;
   std::uint64_t generation = 0;
+};
+
+/// Fleet-wide telemetry built by merge()-ing per-engine EngineStats.
+///
+/// Consistency contract for the queue-depth gauges: Router::stats() reads
+/// every engine's per-class lane depths in one tight pass *before* the
+/// (much slower) histogram-copying stats snapshots, then overwrites each
+/// snapshot's own depths with the pass's values. Consequently
+/// `total.queue_depth`, the sum of `shards[*].queue_depth` and
+/// `total.interactive.queue_depth + total.bulk.queue_depth` are all the
+/// same sum of per-engine reads taken within microseconds of each other —
+/// never a smear of instants milliseconds apart. (Depths remain gauges: the
+/// pass is near-simultaneous, not an atomic cut across engines, and the
+/// *counter* fields are still read at each engine's own snapshot instant.)
+struct FleetStats {
+  engine::EngineStats total;  ///< merged across every engine of every shard
+  std::map<std::string, engine::EngineStats> shards;  ///< merged per shard
+  /// Per-shard artifact identity (digest + live generation), in key order.
+  std::vector<ShardArtifact> artifacts;
+  std::size_t num_engines = 0;
 };
 
 /// The routing surface the serving front ends consume — what the gateway

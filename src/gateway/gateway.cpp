@@ -267,9 +267,9 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
   out.counter("noble_gateway_sessions_closed", c.sessions_closed);
 
   const fleet::FleetStats stats = routing_.stats();
-  out.counter("noble_fleet_shards", stats.num_shards);
+  out.counter("noble_fleet_shards", stats.shards.size());
   out.counter("noble_fleet_engines", stats.num_engines);
-  out.gauge_int("noble_fleet_queue_depth", stats.queue_depth);
+  out.gauge_int("noble_fleet_queue_depth", stats.total.queue_depth);
   out.counter("noble_fleet_submitted", stats.total.submitted);
   out.counter("noble_fleet_completed", stats.total.completed);
   out.counter("noble_fleet_rejected", stats.total.rejected);
@@ -296,9 +296,10 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
     // matching the per-engine {shard,engine} split below.
     out.gauge_int("noble_fleet_queue_depth", cs.queue_depth,
                   {{"class", engine::request_class_name(cls)}});
-    out.gauge(prefix + "_p50_us", cs.latency.p50_us);
-    out.gauge(prefix + "_p95_us", cs.latency.p95_us);
-    out.gauge(prefix + "_p99_us", cs.latency.p99_us);
+    const LatencySummary latency = summarize_latency_us(cs.latency_us);
+    out.gauge(prefix + "_p50_us", latency.p50_us);
+    out.gauge(prefix + "_p95_us", latency.p95_us);
+    out.gauge(prefix + "_p99_us", latency.p99_us);
   }
   for (const fleet::ShardDepths& shard : routing_.queue_depths()) {
     for (std::size_t e = 0; e < shard.engines.size(); ++e) {
@@ -309,12 +310,12 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
   // Artifact identity per shard: the generation as the gauge value (small,
   // exactly representable) with the 64-bit digest as a hex label — a u64
   // digest as a double sample would silently lose low bits.
-  for (const auto& [shard, artifact] : stats.artifacts) {
+  for (const fleet::ShardArtifact& artifact : stats.artifacts) {
     char digest_hex[17];
     std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                   static_cast<unsigned long long>(artifact.digest));
     out.gauge_int("noble_fleet_artifact_generation", artifact.generation,
-                  {{"shard", shard}, {"digest", digest_hex}});
+                  {{"shard", artifact.shard}, {"digest", digest_hex}});
   }
   // Implementation-specific samples (a cluster node agent's spill counters;
   // a plain Router contributes nothing).

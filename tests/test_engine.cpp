@@ -328,9 +328,10 @@ TEST(Engine, StatsTelemetryIsCoherent) {
   EXPECT_EQ(stats.completed, 40u);
   EXPECT_EQ(stats.batch_size.count(), stats.batches);
   EXPECT_EQ(stats.latency_us.count(), stats.completed);
-  EXPECT_GT(stats.latency_p50_us, 0.0);
-  EXPECT_LE(stats.latency_p50_us, stats.latency_p95_us);
-  EXPECT_LE(stats.latency_p95_us, stats.latency_p99_us);
+  const LatencySummary latency = summarize_latency_us(stats.latency_us);
+  EXPECT_GT(latency.p50_us, 0.0);
+  EXPECT_LE(latency.p50_us, latency.p95_us);
+  EXPECT_LE(latency.p95_us, latency.p99_us);
   // Batches never exceed the configured cap.
   EXPECT_LE(stats.batch_size.max_recorded(), static_cast<double>(cfg.max_batch));
 }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -99,6 +100,37 @@ ShardConfig shard_config(std::string key, std::size_t engines = 1) {
   return cfg;
 }
 
+// A small IMU tracker so a shard can host streaming sessions.
+struct ImuFixture {
+  core::ImuExperiment exp;
+  core::NobleImuTracker tracker;
+};
+
+const ImuFixture& imu_fixture() {
+  static const ImuFixture* fixture = [] {
+    core::ImuExperimentConfig icfg;
+    icfg.num_paths = 200;
+    icfg.total_walk_time_s = 600.0;
+    icfg.readings_per_segment = 8;
+    icfg.imu.ref_interval_s = 15.0;
+    icfg.seed = 516;
+    core::NobleImuConfig imc;
+    imc.quantize.tau = 2.0;
+    imc.epochs = 4;
+    imc.projection_dim = 6;
+    auto* f = new ImuFixture{core::make_imu_experiment(icfg), core::NobleImuTracker(imc)};
+    f->tracker.fit(f->exp.split.train);
+    return f;
+  }();
+  return *fixture;
+}
+
+const serve::ImuLocalizer& imu_localizer() {
+  static const serve::ImuLocalizer* l =
+      new serve::ImuLocalizer(serve::ImuLocalizer::from_model(imu_fixture().tracker));
+  return *l;
+}
+
 // The fleet-level equivalence contract: through any shard, with the cache
 // on or off, every routed fix is bit-identical to direct inference on that
 // shard's model — under concurrent traffic to all shards at once.
@@ -157,9 +189,8 @@ TEST(Router, RoutedFixesBitIdenticalToDirectPerShard) {
   }
 
   const FleetStats stats = router.stats();
-  EXPECT_EQ(stats.num_shards, 2u);
-  EXPECT_EQ(stats.num_engines, 3u);
   ASSERT_EQ(stats.shards.size(), 2u);
+  EXPECT_EQ(stats.num_engines, 3u);
   const std::uint64_t total_requests =
       static_cast<std::uint64_t>(kClients) * kPerClient + 2;
   EXPECT_EQ(stats.total.completed, total_requests);
@@ -230,7 +261,9 @@ TEST(Router, FallbackIsConsistentAndSpillsOnlyWhenFull) {
 
   // Overloaded: tiny queues + tight-loop flood forces kQueueFull on the
   // primary; the router must spill to the sibling replica and every
-  // accepted future must still be bit-identical to direct inference.
+  // accepted future must still be bit-identical to direct inference. One
+  // client floods bulk, so both lanes fill while a sampler checks that
+  // every snapshot's queue depth is exactly its class split.
   {
     Router router;
     ShardConfig cfg = shard_config("S", 2);
@@ -245,12 +278,29 @@ TEST(Router, FallbackIsConsistentAndSpillsOnlyWhenFull) {
     constexpr int kPerClient = 400;
     std::atomic<int> mismatches{0};
     std::atomic<std::uint64_t> accepted{0}, rejected{0};
+    std::atomic<bool> flooding{true};
+    std::atomic<std::uint64_t> samples{0}, torn{0};
+    std::thread sampler([&] {
+      const auto split = [](const engine::EngineStats& s) {
+        return s.interactive.queue_depth + s.bulk.queue_depth;
+      };
+      do {
+        const FleetStats fleet = router.stats();
+        if (fleet.total.queue_depth != split(fleet.total)) torn.fetch_add(1);
+        for (const engine::EngineStats& e : router.shard_engine_stats("S")) {
+          if (e.queue_depth != split(e)) torn.fetch_add(1);
+        }
+        samples.fetch_add(1);
+      } while (flooding.load());
+    });
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&] {
+      clients.emplace_back([&, c] {
+        const engine::SubmitOptions options =
+            c == 0 ? engine::SubmitOptions::bulk() : engine::SubmitOptions::interactive();
         std::vector<std::future<serve::Fix>> inflight;
         for (int r = 0; r < kPerClient; ++r) {
-          engine::Submission s = router.submit("S", queries[0]);
+          engine::Submission s = router.submit("S", queries[0], options);
           if (s.accepted()) {
             accepted.fetch_add(1, std::memory_order_relaxed);
             inflight.push_back(std::move(s.result));
@@ -275,7 +325,11 @@ TEST(Router, FallbackIsConsistentAndSpillsOnlyWhenFull) {
       });
     }
     for (auto& client : clients) client.join();
+    flooding.store(false);
+    sampler.join();
 
+    EXPECT_GT(samples.load(), 0u);
+    EXPECT_EQ(torn.load(), 0u) << "of " << samples.load() << " snapshots";
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(accepted.load() + rejected.load(),
               static_cast<std::uint64_t>(kClients) * kPerClient);
@@ -330,23 +384,50 @@ TEST(FleetStats, MergedPercentilesMatchPooledSamples) {
     EXPECT_LE(approx, exact * bin_ratio) << "q=" << q;
     EXPECT_GE(approx, exact / bin_ratio) << "q=" << q;
   }
-  // The convenience fields were recomputed from the merged histogram.
-  EXPECT_EQ(merged.latency_p50_us, merged.latency_us.percentile(50.0));
-  EXPECT_EQ(merged.latency_p99_us, merged.latency_us.percentile(99.0));
 }
 
 TEST(FleetStats, LiveRouterTotalsAreTheSumOfShards) {
   const auto queries = query_pool(16);
   ASSERT_FALSE(queries.empty());
   Router router;
-  ASSERT_TRUE(router.add_shard(shard_config("A", 2), localizer_a()));
+  ASSERT_TRUE(router.add_shard(shard_config("A", 2), localizer_a(), imu_localizer()));
   ASSERT_TRUE(router.add_shard(shard_config("B"), localizer_b()));
+  const auto options = [](int r) {
+    return r % 2 == 0 ? engine::SubmitOptions::interactive()
+                      : engine::SubmitOptions::bulk();
+  };
   for (int r = 0; r < 40; ++r) {
+    // Every other pair of scans is bulk, so both shards see both classes.
     engine::Submission s =
-        router.submit(r % 2 == 0 ? "A" : "B", queries[static_cast<std::size_t>(r) % queries.size()]);
+        router.submit(r % 2 == 0 ? "A" : "B", queries[static_cast<std::size_t>(r) % queries.size()],
+                      options(r / 2));
     ASSERT_TRUE(s.accepted());
     (void)s.result.get();
   }
+  const auto session =
+      router.open_session("A", imu_fixture().exp.split.test.paths.front().start);
+  ASSERT_TRUE(session.has_value());
+  const serve::ImuSegment segment(imu_localizer().segment_dim(), 0.0f);
+  constexpr std::uint64_t kUpdates = 6;
+  for (std::uint64_t u = 0; u < kUpdates; ++u) {
+    engine::Submission s = router.track(*session, segment, options(static_cast<int>(u)));
+    ASSERT_TRUE(s.accepted());
+    (void)s.result.get();
+  }
+  // Rejections and expiries in both classes, on both shards.
+  const serve::RssiVector short_scan(3, 0.0f);
+  EXPECT_EQ(router.submit("A", short_scan).status, engine::SubmitStatus::kBadDimension);
+  EXPECT_EQ(router.submit("B", short_scan, engine::SubmitOptions::bulk()).status,
+            engine::SubmitStatus::kBadDimension);
+  EXPECT_EQ(router.track(*session, serve::ImuSegment(1, 0.0f), engine::SubmitOptions::bulk())
+                .status,
+            engine::SubmitStatus::kBadDimension);
+  engine::SubmitOptions dead = engine::SubmitOptions::bulk();
+  dead.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_EQ(router.submit("B", queries[0], dead).status, engine::SubmitStatus::kExpired);
+  dead.request_class = engine::RequestClass::kInteractive;
+  EXPECT_EQ(router.track(*session, segment, dead).status, engine::SubmitStatus::kExpired);
+
   const FleetStats stats = router.stats();
   std::uint64_t shard_completed = 0, shard_batches = 0;
   std::uint64_t shard_latency_count = 0;
@@ -355,12 +436,28 @@ TEST(FleetStats, LiveRouterTotalsAreTheSumOfShards) {
     shard_batches += s.batches;
     shard_latency_count += s.latency_us.count();
   }
-  EXPECT_EQ(stats.total.completed, 40u);
-  EXPECT_EQ(shard_completed, 40u);
+  EXPECT_EQ(stats.total.completed, 40u + kUpdates);
+  EXPECT_EQ(shard_completed, 40u + kUpdates);
   EXPECT_EQ(stats.total.batches, shard_batches);
   EXPECT_EQ(stats.total.latency_us.count(), shard_latency_count);
-  EXPECT_GE(stats.total.latency_p50_us, stats.total.latency_us.min_recorded());
-  EXPECT_LE(stats.total.latency_p50_us, stats.total.latency_us.max_recorded());
+  EXPECT_EQ(stats.total.rejected, 3u);
+  EXPECT_EQ(stats.total.expired, 2u);
+  EXPECT_GT(stats.total.imu_batches, 0u);
+  // Every derived total equals the owner it is read from, in the fleet
+  // total and in each shard.
+  const auto expect_derived = [](const engine::EngineStats& s, const std::string& where) {
+    EXPECT_EQ(s.completed, s.latency_us.count()) << where;
+    EXPECT_EQ(s.batches, s.batch_size.count()) << where;
+    EXPECT_EQ(s.imu_batches, s.imu_batch_size.count()) << where;
+    EXPECT_EQ(s.submitted, s.interactive.accepted + s.bulk.accepted) << where;
+    EXPECT_EQ(s.rejected, s.interactive.rejected + s.bulk.rejected) << where;
+    EXPECT_EQ(s.expired, s.interactive.expired + s.bulk.expired) << where;
+  };
+  expect_derived(stats.total, "total");
+  for (const auto& [key, s] : stats.shards) expect_derived(s, key);
+  const double p50 = stats.total.latency_us.percentile(50.0);
+  EXPECT_GE(p50, stats.total.latency_us.min_recorded());
+  EXPECT_LE(p50, stats.total.latency_us.max_recorded());
 }
 
 // Artifact identity: the digest two cluster nodes compare before a spilled
@@ -385,20 +482,25 @@ TEST(RouterArtifacts, DigestsIdentifyModelsAcrossShardsSwapsAndStats) {
   EXPECT_EQ(by_key.at("B").digest, localizer_b().artifact_digest());
 
   // FleetStats carries the same identity plus the live generation.
+  const auto artifact_of = [](const FleetStats& stats, const std::string& shard) {
+    const auto it = std::find_if(stats.artifacts.begin(), stats.artifacts.end(),
+                                 [&](const ShardArtifact& a) { return a.shard == shard; });
+    return it == stats.artifacts.end() ? ShardArtifact{} : *it;
+  };
   const FleetStats before = router.stats();
   ASSERT_EQ(before.artifacts.size(), 3u);
-  EXPECT_EQ(before.artifacts.at("A").digest, localizer_a().artifact_digest());
-  EXPECT_EQ(before.artifacts.at("B").digest, localizer_b().artifact_digest());
+  EXPECT_EQ(artifact_of(before, "A").digest, localizer_a().artifact_digest());
+  EXPECT_EQ(artifact_of(before, "B").digest, localizer_b().artifact_digest());
 
   // hot_swap changes the digest and bumps the generation in both views.
   ASSERT_TRUE(router.hot_swap("A", localizer_b()));
   const FleetStats after = router.stats();
-  EXPECT_EQ(after.artifacts.at("A").digest, localizer_b().artifact_digest());
-  EXPECT_GT(after.artifacts.at("A").generation, before.artifacts.at("A").generation);
+  EXPECT_EQ(artifact_of(after, "A").digest, localizer_b().artifact_digest());
+  EXPECT_GT(artifact_of(after, "A").generation, artifact_of(before, "A").generation);
   for (const ShardArtifact& artifact : router.shard_artifacts()) {
     if (artifact.shard == "A") {
       EXPECT_EQ(artifact.digest, localizer_b().artifact_digest());
-      EXPECT_EQ(artifact.generation, after.artifacts.at("A").generation);
+      EXPECT_EQ(artifact.generation, artifact_of(after, "A").generation);
     }
     if (artifact.shard == "A2") {
       EXPECT_EQ(artifact.digest, localizer_a().artifact_digest());
@@ -489,29 +591,14 @@ TEST(RouterHotSwap, CachedFixNeverOutlivesItsModel) {
 }
 
 TEST(RouterHotSwap, SessionsAreStickyToTheirGeneration) {
-  // A small IMU tracker so the shard can host streaming sessions.
-  core::ImuExperimentConfig icfg;
-  icfg.num_paths = 200;
-  icfg.total_walk_time_s = 600.0;
-  icfg.readings_per_segment = 8;
-  icfg.imu.ref_interval_s = 15.0;
-  icfg.seed = 516;
-  core::ImuExperiment iexp = core::make_imu_experiment(icfg);
-  core::NobleImuConfig imc;
-  imc.quantize.tau = 2.0;
-  imc.epochs = 4;
-  imc.projection_dim = 6;
-  core::NobleImuTracker tracker(imc);
-  tracker.fit(iexp.split.train);
-  const serve::ImuLocalizer imu = serve::ImuLocalizer::from_model(tracker);
-
+  const serve::ImuLocalizer& imu = imu_localizer();
   Router router;
   ASSERT_TRUE(router.add_shard(shard_config("swap"), localizer_a(), imu));
-  const auto& path = iexp.split.test.paths.front();
+  const auto& path = imu_fixture().exp.split.test.paths.front();
   const auto session = router.open_session("swap", path.start);
   ASSERT_TRUE(session.has_value());
 
-  const serve::ImuSegment segment(tracker.segment_dim(), 0.0f);
+  const serve::ImuSegment segment(imu.segment_dim(), 0.0f);
   engine::Submission before = router.track(*session, segment);
   ASSERT_TRUE(before.accepted());
   (void)before.result.get();

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <set>
@@ -625,7 +626,11 @@ TEST(GatewayListener, StatsTextExposesGatewayAndFleetTelemetry) {
       GatewayClient::connect("127.0.0.1", gw.listener.port());
   ASSERT_TRUE(client.has_value());
   const auto queries = test_queries(4);
-  for (const auto& q : queries) ASSERT_TRUE(client->locate("bldg-A", q).ok());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const engine::RequestClass cls =
+        i == 0 ? engine::RequestClass::kBulk : engine::RequestClass::kInteractive;
+    ASSERT_TRUE(client->locate("bldg-A", queries[i], cls).ok());
+  }
   const std::optional<std::string> text = client->stats_text();
   ASSERT_TRUE(text.has_value());
   for (const char* needle :
@@ -635,6 +640,33 @@ TEST(GatewayListener, StatsTextExposesGatewayAndFleetTelemetry) {
         "noble_fleet_interactive_p99_us "}) {
     EXPECT_NE(text->find(needle), std::string::npos) << "missing: " << needle;
   }
+
+  // Traffic is idle, so the router's own view now matches the page: the
+  // derived samples read exactly what the stats structs derive.
+  const fleet::FleetStats stats = gw.router.stats();
+  // One whole line of the page: float gauges render as %.1f, integers bare.
+  const auto expect_line = [&](const std::string& name, const std::string& value) {
+    const std::string line = "\n" + name + " " + value + "\n";
+    EXPECT_NE(text->find(line), std::string::npos) << "missing: " << line;
+  };
+  const auto one_decimal = [](double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.1f", value);
+    return std::string(buf);
+  };
+  for (const engine::RequestClass cls :
+       {engine::RequestClass::kInteractive, engine::RequestClass::kBulk}) {
+    const LatencySummary latency = summarize_latency_us(stats.total.for_class(cls).latency_us);
+    const std::string prefix =
+        std::string("noble_fleet_") + engine::request_class_name(cls);
+    expect_line(prefix + "_p50_us", one_decimal(latency.p50_us));
+    expect_line(prefix + "_p95_us", one_decimal(latency.p95_us));
+    expect_line(prefix + "_p99_us", one_decimal(latency.p99_us));
+  }
+  EXPECT_GT(stats.total.bulk.latency_us.count(), 0u);
+  expect_line("noble_fleet_shards", std::to_string(stats.shards.size()));
+  expect_line("noble_fleet_engines", std::to_string(stats.num_engines));
+  expect_line("noble_fleet_queue_depth", std::to_string(stats.total.queue_depth));
 }
 
 TEST(GatewayListener, BinaryScrapeDecodesToTheSameTelemetry) {
