@@ -77,12 +77,11 @@ engine::EngineConfig engine_config_from_env(engine::EngineConfig defaults) {
 std::string describe_engine_config(const engine::EngineConfig& cfg) {
   char buffer[384];
   std::snprintf(buffer, sizeof(buffer),
-                "%zu workers, max_batch %zu, max_wait %llu us%s, queue_cap %zu "
+                "%zu workers, max_batch %zu, max_wait %llu us, queue_cap %zu "
                 "(class caps %zu:%zu), deadline %llu us, backend %s, cache %zu, "
                 "kernel %s",
                 cfg.workers, cfg.max_batch,
-                static_cast<unsigned long long>(cfg.max_wait_us),
-                cfg.adaptive_wait ? " (adaptive)" : "", cfg.queue_cap,
+                static_cast<unsigned long long>(cfg.max_wait_us), cfg.queue_cap,
                 cfg.interactive_cap, cfg.bulk_cap,
                 static_cast<unsigned long long>(cfg.default_deadline_us),
                 engine::precision_name(cfg.precision).data(), cfg.cache_capacity,

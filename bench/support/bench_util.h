@@ -54,7 +54,7 @@ core::NobleImuConfig noble_imu_config();
 /// Engine knobs shared by the engine/fleet/cache benches, applied over
 /// `defaults` (every field falls back to the passed default):
 /// NOBLE_ENGINE_WORKERS, NOBLE_ENGINE_MAX_BATCH, NOBLE_ENGINE_MAX_WAIT_US,
-/// NOBLE_ENGINE_QUEUE_CAP, NOBLE_ENGINE_ADAPTIVE (0/1),
+/// NOBLE_ENGINE_QUEUE_CAP,
 /// NOBLE_ENGINE_BACKEND (dense|quantized: fp32 or int8 plan precision),
 /// NOBLE_ENGINE_CACHE_CAP,
 /// NOBLE_ENGINE_CACHE_STEP_DB, NOBLE_ENGINE_CLASS_CAPS

@@ -101,7 +101,6 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
       integer("NOBLE_ENGINE_MAX_WAIT_US", static_cast<long>(defaults.max_wait_us)));
   cfg.queue_cap = static_cast<std::size_t>(
       integer("NOBLE_ENGINE_QUEUE_CAP", static_cast<long>(defaults.queue_cap)));
-  cfg.adaptive_wait = flag("NOBLE_ENGINE_ADAPTIVE", defaults.adaptive_wait);
   using Precision = serve::OptimizedNetwork::Precision;
   cfg.precision = text("NOBLE_ENGINE_BACKEND",
                        std::string(engine::precision_name(defaults.precision))) ==

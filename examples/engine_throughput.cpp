@@ -43,12 +43,12 @@ int main() {
               model.quantizer().num_fine_classes());
 
   // 2. The engine: 2 workers, each with its own deep-copied replica; up to
-  // 16 requests coalesced per network pass; 200 us batching window; at most
-  // 512 queued requests before submit() reports kQueueFull.
+  // 16 queued requests coalesced per network pass (a lone request is served
+  // at once, batches form from backlog); at most 512 queued requests before
+  // submit() reports kQueueFull.
   EngineConfig cfg;
   cfg.workers = 2;
   cfg.max_batch = 16;
-  cfg.max_wait_us = 200;
   cfg.queue_cap = 512;
   Engine engine(localizer, cfg);
 

@@ -11,8 +11,8 @@
 //  * per-class capacity caps bound how much of the queue one class may
 //    occupy, so a bulk flood can never take the headroom interactive
 //    admissions rely on;
-//  * `pop_batch` drains interactive entries first within the batching
-//    window, bulk fills the remainder of the batch;
+//  * `pop_batch` drains interactive entries first on every sweep, bulk
+//    fills the remainder of the batch;
 //  * entries may carry a deadline: ones that expire before a consumer
 //    reaches them are handed back separately instead of wasting a slot in
 //    the batch (the caller fails their promises; no GEMM is spent on them);
@@ -25,9 +25,11 @@
 //    arrival order. Interactive stays FIFO: its product is arrival-order
 //    latency, not deadline goodput.
 //
-// Consumers block in `pop_batch`, which gathers up to `max_items` entries,
-// waiting at most `max_wait` after the first entry for stragglers — the
-// micro-batching window.
+// Consumers block in `pop_batch`, which takes up to `max_items` of the
+// entries already queued. With `max_wait` = 0 (the engine's default) that
+// is all it does: consumption is work-conserving, and batches form only
+// from backlog that piled up while consumers were busy. A positive
+// `max_wait` holds an under-full batch open that long for stragglers.
 #ifndef NOBLE_ENGINE_BOUNDED_QUEUE_H_
 #define NOBLE_ENGINE_BOUNDED_QUEUE_H_
 
@@ -132,9 +134,12 @@ class BoundedQueue {
   }
 
   /// Blocks until at least one entry is available (or the queue is closed),
-  /// then gathers up to `max_items` live entries, waiting at most `max_wait`
-  /// past the first take for more to arrive. Interactive entries drain
-  /// first on every sweep; bulk fills the remainder of the batch.
+  /// then sweeps up to `max_items` live entries off the queue. Interactive
+  /// entries drain first on every sweep; bulk fills the remainder of the
+  /// batch. With `max_wait` = 0 the call returns after that first sweep, so
+  /// a lone entry is served at once and larger batches come only from
+  /// backlog. A positive `max_wait` keeps an under-full batch open at most
+  /// that long past the first take, sweeping again as entries arrive.
   ///
   /// When `expired` is non-null, entries whose deadline has passed are
   /// appended there instead of the batch (they do not count against

@@ -22,8 +22,7 @@ Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
     : config_(config),
       queue_(config.queue_cap,
              ClassCaps{std::min(config.interactive_cap, config.queue_cap),
-                       std::min(config.bulk_cap, config.queue_cap)}),
-      batch_wait_us_(config.max_wait_us) {
+                       std::min(config.bulk_cap, config.queue_cap)}) {
   NOBLE_EXPECTS(prototype != nullptr);
   NOBLE_EXPECTS(config_.workers >= 1);
   NOBLE_EXPECTS(config_.max_batch >= 1);
@@ -278,9 +277,7 @@ EngineStats Engine::stats() const {
     snapshot.cache_evictions = cache.evictions;
     snapshot.cache_entries = cache.entries;
   }
-  snapshot.batch_wait_us = config_.adaptive_wait
-                               ? batch_wait_us_.load(std::memory_order_relaxed)
-                               : config_.max_wait_us;
+  snapshot.batch_wait_us = config_.max_wait_us;
   return snapshot;
 }
 
@@ -324,16 +321,12 @@ void EngineStats::merge(const EngineStats& other) {
 void Engine::worker_loop(std::size_t worker_index) {
   const WifiBackend& replica = *replicas_[worker_index];
   for (;;) {
-    const std::uint64_t wait_us = config_.adaptive_wait
-                                      ? batch_wait_us_.load(std::memory_order_relaxed)
-                                      : config_.max_wait_us;
     std::vector<Request> expired;
     std::vector<Request> batch = queue_.pop_batch(
-        config_.max_batch, std::chrono::microseconds(wait_us), &expired);
+        config_.max_batch, std::chrono::microseconds(config_.max_wait_us), &expired);
     if (batch.empty() && expired.empty()) return;  // closed and fully drained
     // One clock read marks kDequeued for every trace in this batch.
     const std::uint64_t dequeued_ns = obs::Trace::now_ns();
-    if (config_.adaptive_wait) adapt_batch_window(wait_us);
     // Deadline-expired takes never reach a replica: fail their futures and
     // move on — the batch slots went to live requests instead.
     for (Request& request : expired) {
@@ -362,36 +355,6 @@ void Engine::worker_loop(std::size_t worker_index) {
   }
 }
 
-void Engine::adapt_batch_window(std::uint64_t used_wait_us) {
-  const std::size_t depth = queue_.depth();
-  const std::uint64_t waited_us = ewma_queue_wait_us_.load(std::memory_order_relaxed);
-  // Measured-pressure shrink: when requests already sit in the queue for
-  // more than twice the window, batches fill from backlog — the window is
-  // pure added latency even if the instantaneous depth reads shallow
-  // (workers draining instantly keep depth at 1-2 while every request
-  // still waits). depth > 0 keeps a stale EWMA from shrinking an idle
-  // engine; new samples decay it once traffic resumes.
-  const bool wait_pressure = depth > 0 && waited_us > 2 * used_wait_us;
-  if (depth > config_.max_batch || wait_pressure) {
-    // Backlogged: the next batch fills without waiting, so any window only
-    // adds latency. Halve toward zero.
-    batch_wait_us_.store(used_wait_us / 2, std::memory_order_relaxed);
-  } else if (depth == 0 && used_wait_us < config_.max_wait_us) {
-    // Idle again: grow the window back so sparse traffic re-coalesces.
-    const std::uint64_t grown = used_wait_us == 0 ? 1 : used_wait_us * 2;
-    batch_wait_us_.store(std::min<std::uint64_t>(config_.max_wait_us, grown),
-                         std::memory_order_relaxed);
-  }
-}
-
-void Engine::feed_queue_wait(double mean_wait_us) {
-  const auto sample = static_cast<std::uint64_t>(std::max(0.0, mean_wait_us));
-  const std::uint64_t old = ewma_queue_wait_us_.load(std::memory_order_relaxed);
-  // Races between workers lose samples, never corrupt the gauge (any
-  // stored value is a valid EWMA state) — same contract as batch_wait_us_.
-  ewma_queue_wait_us_.store(old - old / 4 + sample / 4, std::memory_order_relaxed);
-}
-
 void Engine::run_wifi_batch(const WifiBackend& replica,
                             std::vector<WifiRequest> batch,
                             std::uint64_t dequeued_ns) {
@@ -400,9 +363,8 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
   for (WifiRequest& request : batch) queries.push_back(std::move(request.rssi));
   bool any_traced = false;
   // Measured queue wait per request (admit -> this pop) — always on, one
-  // subtraction each: the feedback signal adapt_batch_window reads and the
-  // engine-owned counterpart of the obs kQueueWait stage.
-  double wait_sum_us = 0.0;
+  // subtraction each: the engine-owned counterpart of the obs kQueueWait
+  // stage.
   std::vector<double> waits_us;
   waits_us.reserve(batch.size());
   for (const WifiRequest& request : batch) {
@@ -413,12 +375,10 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
     const double wait_us =
         dequeued_ns > submitted_ns ? (dequeued_ns - submitted_ns) / 1000.0 : 0.0;
     waits_us.push_back(wait_us);
-    wait_sum_us += wait_us;
     if (request.trace == nullptr) continue;
     any_traced = true;
     request.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
   }
-  feed_queue_wait(wait_sum_us / static_cast<double>(batch.size()));
   const std::uint64_t assembled_ns = obs::Trace::now_ns();
   if (any_traced) {
     for (const WifiRequest& request : batch) {
@@ -572,7 +532,6 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
     {
       // One stats lock and one clock read per round, not per update — part
       // of the per-update overhead coalescing exists to amortize.
-      double wait_sum_us = 0.0;
       std::lock_guard<std::mutex> lock(stats_mu_);
       imu_batch_hist_.record(static_cast<double>(n));
       assembly_hist_.record(
@@ -581,13 +540,11 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         const double wait_us = std::max(
             0.0, std::chrono::duration<double, std::micro>(now - update.submitted_at)
                      .count());
-        wait_sum_us += wait_us;
         queue_wait_hist_.record(wait_us);
         class_latency_[request_class_index(update.cls)].record(
             std::chrono::duration<double, std::micro>(done - update.submitted_at)
                 .count());
       }
-      feed_queue_wait(wait_sum_us / static_cast<double>(n));
     }
     for (std::size_t i = 0; i < n; ++i) {
       updates[i].promise.set_value(fixes[i]);

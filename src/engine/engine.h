@@ -10,12 +10,11 @@
 //      │          └─ kQueueFull / kBadDimension / kStopped    ...        ...
 //      └──────────── std::future<Fix> fulfilled per micro-batch
 //
-// Requests are coalesced under a max-batch-size / max-wait-deadline policy
-// and executed on a worker pool over WifiBackend replicas (see
-// engine/backend.h: one compiled plan, fp32 by default or int8, immutable
-// and shared so there are no locks on the hot path). Output is
-// bit-identical to direct inference on the same backend for every request
-// regardless of how requests get batched.
+// Requests are coalesced up to a max batch size and executed on a worker
+// pool over WifiBackend replicas (see engine/backend.h: one compiled plan,
+// fp32 by default or int8, immutable and shared so there are no locks on
+// the hot path). Output is bit-identical to direct inference on the same
+// backend for every request regardless of how requests get batched.
 //
 // Admission control is class- and deadline-aware. Every submission carries
 // a RequestClass — kInteractive (a user is waiting) or kBulk (background
@@ -23,8 +22,8 @@
 //  - per-class queue caps bound how much of the bounded queue bulk traffic
 //    may occupy, so a bulk flood sheds (kQueueFull) while interactive
 //    admissions keep their reserved headroom;
-//  - workers drain interactive entries first within the batching window,
-//    bulk fills the remainder of each micro-batch, earliest deadline first;
+//  - workers drain interactive entries first on every sweep, bulk fills
+//    the remainder of each micro-batch, earliest deadline first;
 //  - a request whose deadline passes before a worker reaches it never
 //    spends a GEMM slot: at submit() an already-expired deadline returns
 //    SubmitStatus::kExpired, and an accepted request that expires while
@@ -32,13 +31,14 @@
 // Class and deadline decide *when and whether* a scan runs — never its
 // result: any request that is served is bit-identical to direct inference.
 //
-// Two more admission-control refinements on top of PR 3:
-//  - an optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
-//    bounded sharded LRU — engine/fingerprint_cache.h) answers repeated
-//    scans at submit() without entering the queue;
-//  - an optional adaptive batching window shrinks max_wait toward 0 while
-//    the queue is backlogged (batches fill without waiting) and grows it
-//    back when traffic idles.
+// Batching is work-conserving: by default (max_wait_us = 0) a worker
+// serves whatever is queued the moment it wakes, so a lone request never
+// waits for company, while backlog that piles up behind busy workers is
+// taken up to max_batch at a time — batch while busy, never wait while idle.
+//
+// An optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
+// bounded sharded LRU — engine/fingerprint_cache.h) answers repeated scans
+// at submit() without entering the queue.
 //
 // A session registry multiplexes many concurrent IMU TrackingSessions
 // behind the same worker pool: per-session FIFOs keep each track's updates
@@ -143,9 +143,10 @@ struct EngineConfig {
   std::size_t workers = 2;
   /// Most requests coalesced into one network pass.
   std::size_t max_batch = 32;
-  /// Batching window: how long a worker holds an under-full batch open for
-  /// stragglers after taking its first request. 0 = serve whatever is there.
-  std::uint64_t max_wait_us = 200;
+  /// Upper bound a worker holds an under-full batch open for stragglers
+  /// after taking its first request. 0 (work-conserving) = serve what is
+  /// queued; batches then grow only from backlog behind busy workers.
+  std::uint64_t max_wait_us = 0;
   /// Bounded request-queue capacity; submissions beyond it are rejected
   /// with kQueueFull (explicit backpressure instead of unbounded memory).
   std::size_t queue_cap = 1024;
@@ -167,16 +168,6 @@ struct EngineConfig {
   /// prototype directly.
   serve::OptimizedNetwork::Precision precision =
       serve::OptimizedNetwork::Precision::kFloat32;
-  /// Load-adaptive batching window: when the queue runs deeper than
-  /// max_batch — or when the measured per-request queue wait (the obs
-  /// queue_wait stage, tracked engine-side as an always-on EWMA) runs past
-  /// twice the current window — halve the wait: batches fill without
-  /// waiting, holding the window open only adds latency. When a pop leaves
-  /// the queue empty, grow it back toward max_wait_us. max_wait_us stays
-  /// the ceiling. The wait signal catches pressure depth alone misses: a
-  /// queue that hovers shallow because workers drain it instantly still
-  /// reads depth 1–2 while requests sit a full window each.
-  bool adaptive_wait = false;
   /// Fingerprint-cache entries at admission control; 0 disables the cache.
   std::size_t cache_capacity = 0;
   /// Lock shards of the fingerprint cache (contention, not semantics).
@@ -235,15 +226,14 @@ struct EngineStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;  ///< instantaneous resident entries
-  /// Current batching window (== max_wait_us unless adaptive_wait shrank it).
+  /// The configured batching window, EngineConfig::max_wait_us.
   std::uint64_t batch_wait_us = 0;
   Histogram batch_size = Histogram::batch_sizes();  ///< Wi-Fi batch sizes
   /// Cross-session IMU coalescing widths (updates per imu_batch).
   Histogram imu_batch_size = Histogram::batch_sizes();
   /// Measured per-request queue wait (admit -> dequeue) and per-batch
   /// assembly time (dequeue -> compute start) — the engine-owned, always-on
-  /// counterparts of the obs kQueueWait/kBatchAssembly stages, and the
-  /// signal the adaptive batching window feeds on.
+  /// counterparts of the obs kQueueWait/kBatchAssembly stages.
   Histogram queue_wait_us = Histogram::latency_us();
   Histogram assembly_us = Histogram::latency_us();
   Histogram latency_us = Histogram::latency_us();   ///< submit -> fulfilled
@@ -396,10 +386,6 @@ class Engine {
   /// Counts a request that never queued (a cache hit): latency only, no
   /// queue-wait sample.
   void record_completion(const Clock::time_point& submitted_at, RequestClass cls);
-  /// Folds one batch's mean measured queue wait into the EWMA the adaptive
-  /// window controller reads.
-  void feed_queue_wait(double mean_wait_us);
-  void adapt_batch_window(std::uint64_t used_wait_us);
   /// Resolves the effective deadline: explicit > engine default > none.
   std::optional<Clock::time_point> resolve_deadline(const SubmitOptions& options,
                                                     const Clock::time_point& now) const;
@@ -411,13 +397,6 @@ class Engine {
   std::optional<serve::ImuLocalizer> imu_;
   BoundedQueue<Request> queue_;
   std::optional<FingerprintCache> cache_;  ///< engaged iff cache_capacity > 0
-  /// Current adaptive batching window; workers race benignly on it (it is a
-  /// relaxed gauge, and any stored value is a valid window).
-  std::atomic<std::uint64_t> batch_wait_us_;
-  /// EWMA (alpha 1/4) of the measured per-request queue wait in us — the
-  /// obs queue_wait stage signal fed back into adapt_batch_window. Relaxed
-  /// gauge like batch_wait_us_: any stored value is a valid signal.
-  std::atomic<std::uint64_t> ewma_queue_wait_us_{0};
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
   /// submitter threads increment without sharing a cache line, and the

@@ -278,9 +278,9 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
   out.counter("noble_fleet_imu_batches", stats.total.imu_batches);
   out.counter("noble_fleet_cache_hits", stats.total.cache_hits);
   out.counter("noble_fleet_cache_misses", stats.total.cache_misses);
-  // Scheduler instruments (PR 9): coalescing widths plus the measured
-  // queue-wait/assembly stages the adaptive window feeds on — fleet-merged,
-  // full bins in the binary exposition.
+  // Scheduler instruments: coalescing widths plus the measured per-request
+  // queue wait and per-batch assembly time — fleet-merged, full bins in the
+  // binary exposition.
   out.histogram("noble_fleet_imu_batch_size", stats.total.imu_batch_size);
   out.histogram("noble_fleet_queue_wait_us", stats.total.queue_wait_us);
   out.histogram("noble_fleet_assembly_us", stats.total.assembly_us);

@@ -170,10 +170,10 @@ void FrameServer::handler_loop(HandlerThread& handler) {
     }
     // With protocol work pending (the handler's last on_service said busy)
     // the loop must poll it too — an engine future has no way to kick a
-    // socket thread — so sleep at most 200us (one batching window) instead
-    // of blocking. Idle handlers block until a socket or the wake pipe
-    // fires. ppoll for the sub-millisecond case: poll()'s millisecond floor
-    // would put a visible constant into every latency.
+    // socket thread — so sleep at most 200us instead of blocking. Idle
+    // handlers block until a socket or the wake pipe fires. ppoll for the
+    // sub-millisecond case: poll()'s millisecond floor would put a visible
+    // constant into every latency.
     if (any_busy) {
       const timespec wait{0, 200'000};
       ::ppoll(pfds.data(), pfds.size(), &wait, nullptr);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <random>
 #include <span>
@@ -661,46 +662,90 @@ TEST(EngineCache, EvictionBoundsResidencyAndKeepsCorrectness) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive batching window.
+// Work-conserving batching: no window at the defaults, batches from backlog.
 // ---------------------------------------------------------------------------
 
-TEST(EngineAdaptive, WindowShrinksUnderBacklogAndGrowsBackWhenIdle) {
-  const auto& localizer = reference_localizer();
-  const auto queries = query_pool(16);
+TEST(EngineBatching, LoneRequestIsNeverHeldByAWindow) {
+  const auto queries = query_pool(1);
   ASSERT_FALSE(queries.empty());
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.max_batch = 4;
-  cfg.max_wait_us = 2000;
-  cfg.queue_cap = 8192;
-  cfg.adaptive_wait = true;
-  Engine engine(localizer, cfg);
-  EXPECT_EQ(engine.stats().batch_wait_us, cfg.max_wait_us);
-
-  // Backlog phase: flood far past max_batch; workers must observe the deep
-  // queue and halve the window. Retried because a fast worker on a loaded
-  // host could in principle keep the queue shallow for one round.
-  bool shrank = false;
-  for (int round = 0; round < 5 && !shrank; ++round) {
-    std::vector<std::future<serve::Fix>> inflight;
-    inflight.reserve(512);
-    for (int r = 0; r < 512; ++r) {
-      Submission s = engine.submit(queries[static_cast<std::size_t>(r) % queries.size()]);
-      if (s.accepted()) inflight.push_back(std::move(s.result));
-    }
-    for (auto& f : inflight) (void)f.get();
-    shrank = engine.stats().batch_wait_us < cfg.max_wait_us;
-  }
-  EXPECT_TRUE(shrank);
-
-  // Idle phase: one request at a time leaves the queue empty after every
-  // pop, so the window doubles back up to (and never past) the ceiling.
-  for (int r = 0; r < 64 && engine.stats().batch_wait_us < cfg.max_wait_us; ++r) {
+  Engine engine(reference_localizer(), EngineConfig{});
+  for (int r = 0; r < 64; ++r) {
     Submission s = engine.submit(queries[0]);
     ASSERT_TRUE(s.accepted());
     (void)s.result.get();
   }
-  EXPECT_EQ(engine.stats().batch_wait_us, cfg.max_wait_us);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batch_wait_us, 0u);
+  EXPECT_EQ(stats.queue_wait_us.count(), 64u);
+  // The minimum, not a percentile: a window would floor every lone
+  // request's wait at the window, while a slow host only stretches some.
+  EXPECT_LT(stats.queue_wait_us.min_recorded(), 200.0);
+}
+
+/// fp32 plan backend whose first locate_batch reports that it has entered
+/// and then blocks until released — holds a 1-worker engine busy while a
+/// backlog forms behind it.
+class GatedBackend final : public WifiBackend {
+ public:
+  struct Gate {
+    std::atomic<bool> first{true};
+    std::latch entered{1};
+    std::latch release{1};
+  };
+
+  GatedBackend(const serve::WifiLocalizer& localizer, std::shared_ptr<Gate> gate)
+      : inner_(localizer), gate_(std::move(gate)) {}
+
+  std::vector<serve::Fix> locate_batch(
+      std::span<const serve::RssiVector> queries) const override {
+    if (gate_->first.exchange(false)) {
+      gate_->entered.count_down();
+      gate_->release.wait();
+    }
+    return inner_.locate_batch(queries);
+  }
+  std::size_t input_dim() const override { return inner_.input_dim(); }
+  std::unique_ptr<WifiBackend> clone() const override {
+    return std::make_unique<GatedBackend>(reference_localizer(), gate_);
+  }
+  std::string name() const override { return "gated-dense"; }
+
+ private:
+  PlanBackend inner_;
+  std::shared_ptr<Gate> gate_;
+};
+
+TEST(EngineBatching, BacklogStillCoalescesAtTheDefaults) {
+  const auto& localizer = reference_localizer();
+  const auto queries = query_pool(8);
+  ASSERT_EQ(queries.size(), 8u);
+  auto gate = std::make_shared<GatedBackend::Gate>();
+  EngineConfig cfg;
+  cfg.workers = 1;
+  Engine engine(std::make_unique<GatedBackend>(localizer, gate), cfg);
+
+  std::vector<std::future<serve::Fix>> futures;
+  Submission first = engine.submit(queries[0]);
+  ASSERT_TRUE(first.accepted());
+  futures.push_back(std::move(first.result));
+  gate->entered.wait();  // the lone worker is busy with a batch of one
+  std::vector<Submission> backlog;
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    backlog.push_back(engine.submit(queries[i]));
+  }
+  gate->release.count_down();  // before any ASSERT can leave the worker parked
+  for (Submission& s : backlog) {
+    ASSERT_TRUE(s.accepted());
+    futures.push_back(std::move(s.result));
+  }
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_TRUE(fixes_identical(futures[i].get(), localizer.locate(queries[i])))
+        << "query " << i;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batches, 2u);  // the lone first request, then the backlog
+  EXPECT_EQ(stats.batch_size.max_recorded(), 7.0);
 }
 
 TEST(EngineSessions, RegistryRejectsBadHandlesAndDimensions) {
