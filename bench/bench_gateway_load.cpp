@@ -1,9 +1,8 @@
 // Gateway saturation: open-loop (Poisson-arrival) latency-vs-offered-load
 // sweep over the serving stack, in-process and over the wire.
 //
-// Closed-loop clients (bench_fleet_throughput) self-throttle — they can
-// never offer more load than the target absorbs, so they cannot locate the
-// saturation knee. This bench fires requests on an exponential inter-arrival
+// Closed-loop clients self-throttle — they can never offer more load than
+// the target absorbs, so they cannot locate the saturation knee. This bench fires requests on an exponential inter-arrival
 // schedule at a configured offered QPS, doubling the rate per step until
 // achieved throughput falls visibly behind offered (the knee), and prints
 // one row per step: achieved QPS and per-class p50/p99 for interactive

@@ -78,13 +78,12 @@ std::string describe_engine_config(const engine::EngineConfig& cfg) {
   char buffer[384];
   std::snprintf(buffer, sizeof(buffer),
                 "%zu workers, max_batch %zu, max_wait %llu us, queue_cap %zu "
-                "(class caps %zu:%zu), deadline %llu us, backend %s, cache %zu, "
-                "kernel %s",
+                "(class caps %zu:%zu), deadline %llu us, backend %s, kernel %s",
                 cfg.workers, cfg.max_batch,
                 static_cast<unsigned long long>(cfg.max_wait_us), cfg.queue_cap,
                 cfg.interactive_cap, cfg.bulk_cap,
                 static_cast<unsigned long long>(cfg.default_deadline_us),
-                engine::precision_name(cfg.precision).data(), cfg.cache_capacity,
+                engine::precision_name(cfg.precision).data(),
                 kernels::isa_name(kernels::active_isa()));
   return buffer;
 }
@@ -188,28 +187,15 @@ MixedLoadReport run_mixed_load(LoadTarget& target,
   for (std::size_t c = 0; c < cfg.interactive_clients; ++c) {
     clients.emplace_back([&, c] {
       ClassLoadReport& mine = interactive[c];
-      std::vector<std::pair<LoadClock::time_point, std::future<noble::serve::Fix>>>
-          inflight;
-      inflight.reserve(cfg.interactive_inflight_window);
-      const auto flush = [&] {
-        for (auto& [at, result] : inflight) settle(mine, at, result);
-        inflight.clear();
-      };
       for (std::size_t r = 0; r < cfg.interactive_requests; ++r) {
         const auto& q = queries[(c * 7919 + r) % queries.size()];
         const std::string& key = shard_keys[(c + r) % shard_keys.size()];
         ++mine.attempted;
         const auto submitted_at = LoadClock::now();
         engine::Submission s = target.submit(key, q, {});
-        while (cfg.retry_interactive_full &&
-               s.status == engine::SubmitStatus::kQueueFull) {
-          std::this_thread::yield();
-          s = target.submit(key, q, {});
-        }
         if (s.accepted()) {
           ++mine.accepted;
-          inflight.emplace_back(submitted_at, std::move(s.result));
-          if (inflight.size() >= cfg.interactive_inflight_window) flush();
+          settle(mine, submitted_at, s.result);
         } else if (s.status == engine::SubmitStatus::kExpired) {
           ++mine.expired;
         } else {
@@ -220,7 +206,6 @@ MixedLoadReport run_mixed_load(LoadTarget& target,
               std::chrono::microseconds(cfg.interactive_pace_us));
         }
       }
-      flush();
       interactive_live.fetch_sub(1, std::memory_order_relaxed);
     });
   }

@@ -51,13 +51,12 @@ core::RegressionConfig regression_config();
 /// NObLe IMU hyperparameters.
 core::NobleImuConfig noble_imu_config();
 
-/// Engine knobs shared by the engine/fleet/cache benches, applied over
+/// Engine knobs shared by the admission and gateway benches, applied over
 /// `defaults` (every field falls back to the passed default):
 /// NOBLE_ENGINE_WORKERS, NOBLE_ENGINE_MAX_BATCH, NOBLE_ENGINE_MAX_WAIT_US,
 /// NOBLE_ENGINE_QUEUE_CAP,
 /// NOBLE_ENGINE_BACKEND (dense|quantized: fp32 or int8 plan precision),
-/// NOBLE_ENGINE_CACHE_CAP,
-/// NOBLE_ENGINE_CACHE_STEP_DB, NOBLE_ENGINE_CLASS_CAPS
+/// NOBLE_ENGINE_CLASS_CAPS
 /// ("interactive:bulk" queue-slot caps, 0 = uncapped, e.g. "0:256"),
 /// NOBLE_ENGINE_DEADLINE_US (engine-wide default deadline budget, 0 = off).
 /// Also applies the process-wide NOBLE_KERNEL override (scalar|avx2|auto).
@@ -181,26 +180,19 @@ class SocketTarget final : public LoadTarget {
 };
 
 /// Mixed interactive + bulk closed-loop load against a LoadTarget (the
-/// in-process Router or a live gateway socket) — the shared workload
-/// generator for bench_fleet_throughput, bench_admission_classes and
-/// bench_gateway_load (one copy, three benches).
+/// in-process Router or a live gateway socket) — the workload generator
+/// bench_admission_classes drives.
 ///
 /// Interactive clients are paced (think time between fixes) and wait for
-/// each fix; bulk clients flood with a bounded in-flight window and never
-/// retry — a shed (kQueueFull) or expiry is counted, not resubmitted.
+/// each fix (submit, await, think); bulk clients flood with a bounded
+/// in-flight window and never retry — a shed (kQueueFull) or expiry is
+/// counted, not resubmitted.
 /// Scans spread across `shard_keys` round-robin and across the query pool
 /// per client.
 struct MixedLoadConfig {
   std::size_t interactive_clients = 2;
   std::size_t interactive_requests = 1000;  ///< per client
   std::uint64_t interactive_pace_us = 200;  ///< think time between fixes
-  /// Spin-retry interactive kQueueFull instead of counting a rejection
-  /// (what a pure-throughput bench wants; admission benches count).
-  bool retry_interactive_full = false;
-  /// Futures each interactive client keeps in flight before settling. 1 =
-  /// strict closed loop (submit, await, think) — what a latency bench
-  /// wants; throughput benches pipeline deeper to keep batches full.
-  std::size_t interactive_inflight_window = 1;
   std::size_t bulk_clients = 2;
   std::size_t bulk_requests = 2000;    ///< per client (a floor when sustaining)
   std::uint64_t bulk_deadline_us = 0;  ///< per-submission budget; 0 = none

@@ -107,10 +107,6 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
                           engine::precision_name(Precision::kInt8)
                       ? Precision::kInt8
                       : Precision::kFloat32;
-  cfg.cache_capacity = static_cast<std::size_t>(
-      integer("NOBLE_ENGINE_CACHE_CAP", static_cast<long>(defaults.cache_capacity)));
-  cfg.cache_key_step_db =
-      real("NOBLE_ENGINE_CACHE_STEP_DB", defaults.cache_key_step_db);
   // "interactive:bulk" queue-slot caps; malformed input keeps the defaults.
   const std::string caps = text("NOBLE_ENGINE_CLASS_CAPS", "");
   if (const std::size_t colon = caps.find(':'); colon != std::string::npos) {

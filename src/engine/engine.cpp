@@ -6,15 +6,6 @@
 
 namespace noble::engine {
 
-namespace {
-
-constexpr auto us_since = [](const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-      .count();
-};
-
-}  // namespace
-
 Engine::Engine(const serve::WifiLocalizer& wifi, EngineConfig config)
     : Engine(std::make_unique<PlanBackend>(wifi, config.precision), config) {}
 
@@ -27,11 +18,6 @@ Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
   NOBLE_EXPECTS(config_.workers >= 1);
   NOBLE_EXPECTS(config_.max_batch >= 1);
   NOBLE_EXPECTS(config_.session_backlog >= 1);
-  if (config_.cache_capacity > 0) {
-    NOBLE_EXPECTS(config_.cache_key_step_db > 0.0);
-    cache_.emplace(config_.cache_capacity, config_.cache_shards,
-                   FingerprintHash{1.0 / config_.cache_key_step_db});
-  }
   // One replica per worker; clones share only immutable state (the
   // localizer and its packed plan), so the batched hot path takes no locks.
   replicas_.reserve(config_.workers);
@@ -92,36 +78,6 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
     class_expired_[cls].inc();
     return {SubmitStatus::kExpired, {}};
   }
-  const bool cached = cache_.has_value() && !stopped_.load(std::memory_order_relaxed);
-  if (cached) {
-    if (std::optional<serve::Fix> hit = cache_->get(rssi)) {
-      // Admission-control fast path: answered without touching the queue.
-      // Counted like any other request (accepted/latency) so the stats
-      // invariants hold with the cache on. record_completion takes
-      // stats_mu_ once; the promise/future machinery dominates the hit
-      // cost, not that short critical section.
-      std::promise<serve::Fix> promise;
-      std::future<serve::Fix> result = promise.get_future();
-      class_accepted_[cls].inc();
-      cache_hits_.inc();
-      if (options.trace != nullptr) {
-        // The whole pipeline collapses to one instant on a cache hit: every
-        // engine stage is stamped "now", so its stage latencies read ~0.
-        const std::uint64_t ns = obs::Trace::now_ns();
-        options.trace->stamp(obs::Mark::kAdmitted, ns);
-        options.trace->stamp(obs::Mark::kDequeued, ns);
-        options.trace->stamp(obs::Mark::kAssembled, ns);
-        options.trace->stamp(obs::Mark::kComputed, ns);
-      }
-      promise.set_value(std::move(*hit));
-      record_completion(submitted_at, options.request_class);
-      if (options.trace != nullptr && !options.trace->external_respond) {
-        options.trace->stamp(obs::Mark::kResponded);
-        obs::Tracer::global().finish(*options.trace);
-      }
-      return {SubmitStatus::kAccepted, std::move(result)};
-    }
-  }
   // The only copy, on admission.
   WifiRequest request{rssi, {}, submitted_at, options.request_class, options.trace};
   std::future<serve::Fix> result = request.promise.get_future();
@@ -141,9 +97,6 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
                                           : SubmitStatus::kQueueFull,
             {}};
   }
-  // A cache miss only counts once the scan is admitted: rejected-and-
-  // retried submissions must not deflate the reported hit rate.
-  if (cached) cache_misses_.inc();
   return {SubmitStatus::kAccepted, std::move(result)};
 }
 
@@ -270,13 +223,6 @@ EngineStats Engine::stats() const {
   }
   snapshot.set_queue_depths(queue_.depth(RequestClass::kInteractive),
                             queue_.depth(RequestClass::kBulk));
-  if (cache_.has_value()) {
-    const CacheStats cache = cache_->stats();
-    snapshot.cache_hits = cache_hits_.value();
-    snapshot.cache_misses = cache_misses_.value();
-    snapshot.cache_evictions = cache.evictions;
-    snapshot.cache_entries = cache.entries;
-  }
   snapshot.batch_wait_us = config_.max_wait_us;
   return snapshot;
 }
@@ -304,10 +250,6 @@ void EngineStats::merge(const EngineStats& other) {
   batches += other.batches;
   imu_batches += other.imu_batches;
   queue_depth += other.queue_depth;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_evictions += other.cache_evictions;
-  cache_entries += other.cache_entries;
   batch_wait_us = std::max(batch_wait_us, other.batch_wait_us);
   batch_size.merge(other.batch_size);
   imu_batch_size.merge(other.imu_batch_size);
@@ -411,15 +353,6 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
       class_latency_[request_class_index(batch[i].cls)].record(
           std::chrono::duration<double, std::micro>(done - batch[i].submitted_at)
               .count());
-    }
-  }
-  if (cache_.has_value()) {
-    // Populate before fulfilling: once a future resolves, the cache already
-    // reflects its scan, so a client that awaits a fix and resubmits the
-    // same scan is guaranteed the fast path (and telemetry reads after
-    // get() are deterministic).
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      cache_->put(std::move(queries[i]), fixes[i]);
     }
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -554,13 +487,6 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
       }
     }
   }
-}
-
-void Engine::record_completion(const Clock::time_point& submitted_at,
-                               RequestClass cls) {
-  const double latency_us = us_since(submitted_at);  // clock read outside the lock
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  class_latency_[request_class_index(cls)].record(latency_us);
 }
 
 }  // namespace noble::engine

@@ -36,10 +36,6 @@
 // waits for company, while backlog that piles up behind busy workers is
 // taken up to max_batch at a time — batch while busy, never wait while idle.
 //
-// An optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
-// bounded sharded LRU — engine/fingerprint_cache.h) answers repeated scans
-// at submit() without entering the queue.
-//
 // A session registry multiplexes many concurrent IMU TrackingSessions
 // behind the same worker pool: per-session FIFOs keep each track's updates
 // ordered while different tracks proceed in parallel, and the pending
@@ -72,7 +68,6 @@
 #include "common/stats.h"
 #include "engine/backend.h"
 #include "engine/bounded_queue.h"
-#include "engine/fingerprint_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/imu_localizer.h"
@@ -168,20 +163,13 @@ struct EngineConfig {
   /// prototype directly.
   serve::OptimizedNetwork::Precision precision =
       serve::OptimizedNetwork::Precision::kFloat32;
-  /// Fingerprint-cache entries at admission control; 0 disables the cache.
-  std::size_t cache_capacity = 0;
-  /// Lock shards of the fingerprint cache (contention, not semantics).
-  std::size_t cache_shards = 8;
-  /// dB step of the cache's quantized hash key (exact-verify on hit keeps
-  /// any step bit-identity-safe; the step only tunes bucketing).
-  double cache_key_step_db = 1.0;
 };
 
 /// Per-class admission/latency telemetry. Merge()-able like everything
 /// else in EngineStats, so fleet views report interactive and bulk
 /// behavior separately.
 struct ClassStats {
-  std::uint64_t accepted = 0;  ///< admitted (queued or served from cache)
+  std::uint64_t accepted = 0;  ///< admitted to the queue or a session FIFO
   std::uint64_t rejected = 0;  ///< kQueueFull/kBadDimension/kStopped verdicts
   std::uint64_t expired = 0;   ///< kExpired at submit + DeadlineExpired futures
   /// Instantaneous depth of this class's queue lane — the split of
@@ -204,10 +192,10 @@ struct ClassStats {
 /// `batch_size` and `imu_batch_size`. Nothing stores a percentile; read one
 /// with summarize_latency_us() or Histogram::percentile().
 struct EngineStats {
-  std::uint64_t submitted = 0;  ///< accepted (queued or served from cache)
+  std::uint64_t submitted = 0;  ///< accepted (queued or in a session FIFO)
   std::uint64_t rejected = 0;   ///< non-kAccepted submissions (kExpired aside)
   std::uint64_t expired = 0;    ///< deadline-expired requests, both flavors
-  std::uint64_t completed = 0;  ///< futures fulfilled (cache hits included)
+  std::uint64_t completed = 0;  ///< futures fulfilled
   std::uint64_t batches = 0;    ///< Wi-Fi micro-batches executed
   /// Batched IMU passes executed (every session update is served by exactly
   /// one, of size >= 1; a pass spans every session one pop covered).
@@ -217,15 +205,6 @@ struct EngineStats {
   /// totals above are exactly interactive + bulk (latency_us is their merge).
   ClassStats interactive;
   ClassStats bulk;
-  /// Fingerprint-cache counters (all zero when the cache is disabled).
-  /// Misses count *admitted* Wi-Fi scans only — a scan rejected with
-  /// kQueueFull and retried does not deflate the hit rate. IMU session
-  /// updates are stateful and never cached, so they contribute to
-  /// `submitted` but to neither cache counter.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::size_t cache_entries = 0;  ///< instantaneous resident entries
   /// The configured batching window, EngineConfig::max_wait_us.
   std::uint64_t batch_wait_us = 0;
   Histogram batch_size = Histogram::batch_sizes();  ///< Wi-Fi batch sizes
@@ -281,9 +260,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Asynchronous localization of one raw RSSI scan. Never blocks: the scan
-  /// is answered from the fingerprint cache (kAccepted, future already
-  /// fulfilled), queued (kAccepted, fulfilled by a worker micro-batch), or
-  /// rejected with an explicit status. Takes a reference and copies only on
+  /// is queued (kAccepted, fulfilled by a worker micro-batch) or rejected
+  /// with an explicit status. Takes a reference and copies only on
   /// admission, so rejection/fallback paths (the fleet router probes
   /// several engines with one scan) never pay for the copy.
   ///
@@ -383,9 +361,6 @@ class Engine {
   /// sole consumer of every track it drains, so each track's updates apply
   /// strictly in FIFO order.
   void drain_sessions(const std::vector<SessionId>& ids, std::uint64_t dequeued_ns);
-  /// Counts a request that never queued (a cache hit): latency only, no
-  /// queue-wait sample.
-  void record_completion(const Clock::time_point& submitted_at, RequestClass cls);
   /// Resolves the effective deadline: explicit > engine default > none.
   std::optional<Clock::time_point> resolve_deadline(const SubmitOptions& options,
                                                     const Clock::time_point& now) const;
@@ -396,7 +371,6 @@ class Engine {
   std::vector<std::unique_ptr<WifiBackend>> replicas_;  ///< one per worker
   std::optional<serve::ImuLocalizer> imu_;
   BoundedQueue<Request> queue_;
-  std::optional<FingerprintCache> cache_;  ///< engaged iff cache_capacity > 0
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
   /// submitter threads increment without sharing a cache line, and the
@@ -406,13 +380,6 @@ class Engine {
   obs::Counter class_accepted_[kNumRequestClasses];
   obs::Counter class_rejected_[kNumRequestClasses];
   obs::Counter class_expired_[kNumRequestClasses];
-  /// Cache admission outcomes, engine-owned rather than read from the
-  /// cache's own counters: a miss is only counted once the Wi-Fi scan is
-  /// actually admitted to the queue, so kQueueFull retry loops cannot
-  /// deflate the hit rate. (IMU updates count in class_accepted_ only —
-  /// they are stateful and never cached.)
-  obs::Counter cache_hits_;
-  obs::Counter cache_misses_;
   /// Guards the histograms below. Their counts are the snapshot's batch
   /// and completion counters, so no separate counter shadows them.
   mutable std::mutex stats_mu_;

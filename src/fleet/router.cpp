@@ -1,6 +1,8 @@
 #include "fleet/router.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/hash.h"
@@ -11,12 +13,21 @@ namespace noble::fleet {
 
 namespace {
 
-/// Primary-engine selection: the same scan always hashes to the same engine
-/// of a shard, so per-engine fingerprint caches see every repeat of a scan.
-/// The hash step matches the default cache key step; it only spreads load,
-/// correctness never depends on it (all engines of a shard are replicas).
+/// Primary-engine selection: FNV-1a over the scan rounded to whole dB, so
+/// the same scan always lands on the same engine of a shard and placement
+/// is deterministic. The hash only spreads load; correctness never depends
+/// on it (all engines of a shard are replicas).
 std::size_t primary_engine(const serve::RssiVector& rssi, std::size_t num_engines) {
-  return engine::FingerprintHash{1.0}(rssi) % num_engines;
+  std::uint64_t h = common::kFnvOffsetBasis;
+  for (const float v : rssi) {
+    const auto q = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(std::llround(static_cast<double>(v))));
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (q >> (8 * byte)) & 0xffu;
+      h *= common::kFnvPrime;
+    }
+  }
+  return static_cast<std::size_t>(h) % num_engines;
 }
 
 }  // namespace
@@ -91,15 +102,15 @@ engine::Submission Router::submit(std::string_view shard_key,
     if (shard == nullptr) return {engine::SubmitStatus::kNoShard, {}};
     const std::size_t n = shard->engines.size();
     const std::size_t primary = primary_engine(rssi, n);
-    // Primary first for every class: the fingerprint affinity that keeps
-    // per-engine caches hot. Only kQueueFull falls through — any other
-    // verdict is a property of the whole shard (replicas are identical).
+    // Primary first for every class: deterministic fingerprint placement.
+    // Only kQueueFull falls through — any other verdict is a property of
+    // the whole shard (replicas are identical).
     last = shard->engines[primary]->submit(rssi, options);
     if (last.status == engine::SubmitStatus::kQueueFull && n > 1) {
       if (options.request_class == engine::RequestClass::kBulk) {
         // Fleet-wide load shedding: a shedding bulk sweep hunts for
-        // capacity, not cache affinity — spill to the shallowest *bulk
-        // lane* first: interactive entries outrank bulk on every engine
+        // capacity, not placement — spill to the shallowest *bulk lane*
+        // first: interactive entries outrank bulk on every engine
         // anyway, so total depth mistakes interactive-busy engines for
         // bulk-full ones. Depths are snapshotted once per engine before
         // sorting (comparing live depths inside the sort would break
@@ -119,8 +130,8 @@ engine::Submission Router::submit(std::string_view shard_key,
           if (last.status != engine::SubmitStatus::kQueueFull) break;
         }
       } else {
-        // Interactive keeps the consistent affinity-preserving probe order
-        // — and pays no depth locks on its latency path.
+        // Interactive keeps the consistent, deterministic probe order —
+        // and pays no depth locks on its latency path.
         for (std::size_t probe = 1; probe < n; ++probe) {
           last = shard->engines[(primary + probe) % n]->submit(rssi, options);
           if (last.status != engine::SubmitStatus::kQueueFull) break;

@@ -11,18 +11,17 @@
 // A *shard* is a routing key (per building / per model artifact) plus one or
 // more engines that all replicate the same model, so any engine of a shard
 // answers bit-identically. Within a shard the query's fingerprint hash picks
-// the primary engine — the same scan always lands on the same engine, which
-// keeps per-engine fingerprint caches hot. On kQueueFull the fallback is
-// class-aware: interactive traffic falls through the remaining engines in
-// consistent (deterministic probe) order, preserving cache affinity as far
-// as possible, while bulk traffic spills by *queue depth* — the least-loaded
-// replica first — because a shedding bulk sweep cares about finding capacity
-// anywhere in the shard, not about which replica's cache stays hot. Only
-// when every engine is full does the rejection reach the caller.
+// the primary engine — the same scan always lands on the same engine, so
+// placement is deterministic. On kQueueFull the fallback is class-aware:
+// interactive traffic falls through the remaining engines in consistent
+// (deterministic probe) order and takes no depth locks on its latency path,
+// while bulk traffic spills by *queue depth* — the least-loaded replica
+// first — because a shedding bulk sweep cares about finding capacity
+// anywhere in the shard. Only when every engine is full does the rejection
+// reach the caller.
 //
 // Shards can be hot-swapped to a retrained model: the replacement engines
-// (with fresh, empty caches — a stale fix can never outlive its model) take
-// over atomically for new admissions, while the old generation drains so
+// take over atomically for new admissions, while the old generation drains so
 // every already-accepted future still resolves. IMU sessions are sticky to
 // the engine and generation that admitted them; a swap invalidates them
 // (kNoSession), mirroring how a device re-anchors after a model update.
@@ -50,7 +49,7 @@ struct ShardConfig {
   std::string key;
   /// Engines replicating this shard's model; > 1 adds kQueueFull headroom.
   std::size_t engines = 1;
-  /// Per-engine knobs (precision, cache, batching, workers).
+  /// Per-engine knobs (precision, batching, workers).
   engine::EngineConfig engine;
   /// Content identity of the model artifact(s) this shard serves. Filled by
   /// the router at add_shard/hot_swap as shard_digest() of the localizers'
@@ -192,9 +191,9 @@ class Router : public Routing {
   bool close_session(const FleetSession& session) override;
 
   /// Replaces `shard_key`'s engines with fresh ones serving `wifi` (same
-  /// ShardConfig, new generation, empty caches). Already-accepted futures
-  /// on the old generation drain and resolve against the old model; new
-  /// admissions are served by the new one. False for unknown keys.
+  /// ShardConfig, new generation). Already-accepted futures on the old
+  /// generation drain and resolve against the old model; new admissions are
+  /// served by the new one. False for unknown keys.
   bool hot_swap(std::string_view shard_key, const serve::WifiLocalizer& wifi);
   bool hot_swap(std::string_view shard_key, const serve::WifiLocalizer& wifi,
                 const serve::ImuLocalizer& imu);

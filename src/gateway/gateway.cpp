@@ -196,9 +196,9 @@ bool Listener::on_service(net::ServerConn& conn) {
 }
 
 std::size_t Listener::settle_inflight(net::ServerConn& conn, ConnState& state) {
-  // Completion order, not submission order: a cache hit or a faster
-  // micro-batch may finish request N+1 before N, and holding its response
-  // hostage behind N would serialize the window. Request ids disambiguate.
+  // Completion order, not submission order: a faster micro-batch may
+  // finish request N+1 before N, and holding its response hostage behind N
+  // would serialize the window. Request ids disambiguate.
   for (auto it = state.inflight.begin(); it != state.inflight.end();) {
     if (it->result.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
       ++it;
@@ -276,8 +276,6 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
   out.counter("noble_fleet_expired", stats.total.expired);
   out.counter("noble_fleet_batches", stats.total.batches);
   out.counter("noble_fleet_imu_batches", stats.total.imu_batches);
-  out.counter("noble_fleet_cache_hits", stats.total.cache_hits);
-  out.counter("noble_fleet_cache_misses", stats.total.cache_misses);
   // Scheduler instruments: coalescing widths plus the measured per-request
   // queue wait and per-batch assembly time — fleet-merged, full bins in the
   // binary exposition.

@@ -17,8 +17,7 @@
 // so the admission-control story — interactive reservation, bulk shedding,
 // deadline expiry — holds for network traffic exactly as it does
 // in-process. Responses carry the request id and go out in completion
-// order: micro-batching and the fingerprint cache reorder completions, the
-// wire does not hide it.
+// order: micro-batching reorders completions, the wire does not hide it.
 //
 // Long-lived connections stream IMU session updates: OpenSession binds a
 // wire session id to a sticky FleetSession on this connection; TrackUpdates

@@ -8,10 +8,9 @@
 // Status outcome space.
 //
 // Request ids correlate responses on a multiplexed connection: the gateway
-// answers out of request order when micro-batches or the fingerprint cache
-// complete out of order, and the header's class + deadline map straight
-// onto engine::SubmitOptions — the admission story (PR 5) carried end to
-// end over the socket.
+// answers out of request order when micro-batches complete out of order,
+// and the header's class + deadline map straight onto engine::SubmitOptions
+// — the admission story carried end to end over the socket.
 //
 // This header is also the one place the engine's SubmitStatus verdicts, the
 // wire Status codes and the client-side exception surface meet:

@@ -1,7 +1,7 @@
 // noble::obs — the unified metrics layer every serving tier reports into.
 //
 // Three instrument kinds cover the stack's telemetry:
-//  * Counter   — monotonic event totals (requests, rejections, cache hits).
+//  * Counter   — monotonic event totals (requests, rejections, expiries).
 //    Increments land on a thread-striped array of cache-line-separated
 //    atomics, so the hot path is one relaxed fetch_add with no sharing
 //    between submitter threads; `value()` folds the stripes on the (cold)

@@ -559,109 +559,6 @@ TEST(EngineBackends, QuantizedDecodesTrackTheDenseModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint cache at admission control.
-// ---------------------------------------------------------------------------
-
-TEST(EngineCache, HitIsBitIdenticalAndSkipsTheQueue) {
-  const auto& localizer = reference_localizer();
-  const auto queries = query_pool(4);
-  ASSERT_FALSE(queries.empty());
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.max_batch = 4;
-  cfg.max_wait_us = 0;
-  cfg.cache_capacity = 64;
-  Engine engine(localizer, cfg);
-
-  Submission first = engine.submit(queries[0]);
-  ASSERT_TRUE(first.accepted());
-  const serve::Fix computed = first.result.get();
-
-  Submission second = engine.submit(queries[0]);
-  ASSERT_TRUE(second.accepted());
-  const serve::Fix cached = second.result.get();
-  EXPECT_TRUE(fixes_identical(cached, computed));
-  EXPECT_TRUE(fixes_identical(cached, localizer.locate(queries[0])));
-
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_entries, 1u);
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.latency_us.count(), 2u);
-  // The hit never entered the queue: only the miss formed a micro-batch.
-  EXPECT_EQ(stats.batches, 1u);
-}
-
-TEST(EngineCache, QuantizedKeyCollisionsNeverAlias) {
-  // Two scans that share a quantized hash key (every reading rounds to the
-  // same dB step) but differ in exact floats must never cross-hit: equality
-  // is exact, so the second scan misses and computes its own fix. This is
-  // the collision guard that keeps bit-identity true with the cache on.
-  const auto& localizer = reference_localizer();
-  const auto queries = query_pool(1);
-  ASSERT_FALSE(queries.empty());
-  serve::RssiVector scan_a = queries[0];
-  serve::RssiVector scan_b = scan_a;
-  scan_b[0] += 0.25f;  // same llround(v * 1.0) bucket, different scan
-  ASSERT_NE(scan_a, scan_b);
-
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.max_wait_us = 0;
-  cfg.cache_capacity = 64;
-  cfg.cache_key_step_db = 1.0;
-  Engine engine(localizer, cfg);
-
-  Submission a = engine.submit(scan_a);
-  ASSERT_TRUE(a.accepted());
-  const serve::Fix fix_a = a.result.get();
-  Submission b = engine.submit(scan_b);
-  ASSERT_TRUE(b.accepted());
-  const serve::Fix fix_b = b.result.get();
-
-  EXPECT_TRUE(fixes_identical(fix_a, localizer.locate(scan_a)));
-  EXPECT_TRUE(fixes_identical(fix_b, localizer.locate(scan_b)));
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.cache_hits, 0u);  // the collision was not a hit
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(stats.cache_entries, 2u);
-}
-
-TEST(EngineCache, EvictionBoundsResidencyAndKeepsCorrectness) {
-  const auto& localizer = reference_localizer();
-  const auto queries = query_pool(16);
-  ASSERT_GE(queries.size(), 16u);
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.max_wait_us = 0;
-  cfg.cache_capacity = 4;
-  cfg.cache_shards = 1;  // single shard makes the LRU order deterministic
-  Engine engine(localizer, cfg);
-
-  for (const auto& q : queries) {
-    Submission s = engine.submit(q);
-    ASSERT_TRUE(s.accepted());
-    (void)s.result.get();
-  }
-  EngineStats stats = engine.stats();
-  EXPECT_LE(stats.cache_entries, 4u);
-  EXPECT_EQ(stats.cache_evictions, queries.size() - 4);
-
-  // The most recent scan is resident; the first was evicted — both still
-  // answer bit-identically to direct locate().
-  Submission resident = engine.submit(queries.back());
-  ASSERT_TRUE(resident.accepted());
-  EXPECT_TRUE(fixes_identical(resident.result.get(), localizer.locate(queries.back())));
-  Submission evicted = engine.submit(queries.front());
-  ASSERT_TRUE(evicted.accepted());
-  EXPECT_TRUE(fixes_identical(evicted.result.get(), localizer.locate(queries.front())));
-  stats = engine.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);  // only the resident re-submission hit
-}
-
-// ---------------------------------------------------------------------------
 // Work-conserving batching: no window at the defaults, batches from backlog.
 // ---------------------------------------------------------------------------
 

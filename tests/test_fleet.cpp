@@ -1,8 +1,8 @@
 // Fleet router tests: shard-keyed routing equivalence (fp32 and int8
-// shards, cache on and off), consistent kQueueFull fallback inside a
-// shard, merged EngineStats/Histogram fleet views against pooled-sample
-// ground truth, and hot-swap semantics (fresh caches, invalidated
-// sessions — a stale model's fix never outlives its model).
+// shards), consistent kQueueFull fallback inside a shard, merged
+// EngineStats/Histogram fleet views against pooled-sample ground truth, and
+// hot-swap semantics (new admissions serve the new model, invalidated
+// sessions).
 //
 // The concurrency tests here carry the `concurrency` CTest label and run
 // under -DNOBLE_SANITIZE=thread in CI.
@@ -131,9 +131,9 @@ const serve::ImuLocalizer& imu_localizer() {
   return *l;
 }
 
-// The fleet-level equivalence contract: through any shard, with the cache
-// on or off, every routed fix is bit-identical to direct inference on that
-// shard's model — under concurrent traffic to all shards at once.
+// The fleet-level equivalence contract: through any shard, every routed fix
+// is bit-identical to direct inference on that shard's model — under
+// concurrent traffic to all shards at once.
 TEST(Router, RoutedFixesBitIdenticalToDirectPerShard) {
   const auto queries = query_pool(48);
   ASSERT_FALSE(queries.empty());
@@ -146,7 +146,6 @@ TEST(Router, RoutedFixesBitIdenticalToDirectPerShard) {
   Router router;
   ShardConfig a = shard_config("bldg-A", 2);
   ShardConfig b = shard_config("bldg-B");
-  b.engine.cache_capacity = 256;  // one shard exercises the cached path
   ASSERT_TRUE(router.add_shard(a, localizer_a()));
   ASSERT_TRUE(router.add_shard(b, localizer_b()));
   ASSERT_TRUE(router.has_shard("bldg-A"));
@@ -179,27 +178,14 @@ TEST(Router, RoutedFixesBitIdenticalToDirectPerShard) {
   for (auto& client : clients) client.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Two sequential repeats of one scan make at least one cache hit certain
-  // (the concurrent phase above already repeats scans, but racing identical
-  // submissions may all miss).
-  for (int i = 0; i < 2; ++i) {
-    engine::Submission s = router.submit("bldg-B", queries[0]);
-    ASSERT_TRUE(s.accepted());
-    EXPECT_TRUE(fixes_identical(s.result.get(), expected_b[0]));
-  }
-
   const FleetStats stats = router.stats();
   ASSERT_EQ(stats.shards.size(), 2u);
   EXPECT_EQ(stats.num_engines, 3u);
-  const std::uint64_t total_requests =
-      static_cast<std::uint64_t>(kClients) * kPerClient + 2;
+  const std::uint64_t total_requests = static_cast<std::uint64_t>(kClients) * kPerClient;
   EXPECT_EQ(stats.total.completed, total_requests);
   EXPECT_EQ(stats.shards.at("bldg-A").completed + stats.shards.at("bldg-B").completed,
             total_requests);
   EXPECT_EQ(stats.total.latency_us.count(), stats.total.completed);
-  // The cached shard saw repeated scans (48 distinct queries, ~300 requests).
-  EXPECT_GT(stats.shards.at("bldg-B").cache_hits, 0u);
-  EXPECT_EQ(stats.shards.at("bldg-A").cache_hits, 0u);
 }
 
 TEST(Router, QuantizedShardMatchesDirectQuantizedInference) {
@@ -243,8 +229,8 @@ TEST(Router, FallbackIsConsistentAndSpillsOnlyWhenFull) {
   const auto queries = query_pool(8);
   ASSERT_FALSE(queries.empty());
 
-  // Unloaded: the same scan must land on the same engine every time (the
-  // affinity that keeps per-engine caches hot).
+  // Unloaded: the same scan must land on the same engine every time
+  // (deterministic placement).
   {
     Router router;
     ASSERT_TRUE(router.add_shard(shard_config("S", 2), localizer_a()));
@@ -548,10 +534,9 @@ TEST(RouterArtifacts, Int8ShardDigestDiffersFromFp32ShardOfTheSameModel) {
   }
 }
 
-// Hot swap: the replacement generation starts with an empty cache, so a fix
-// cached from the old model can never be served once the shard's model
-// changed — the cache-staleness half of the acceptance criteria.
-TEST(RouterHotSwap, CachedFixNeverOutlivesItsModel) {
+// Hot swap: once the shard's model changed, every new admission is served
+// by the replacement model, never the old one.
+TEST(RouterHotSwap, NewAdmissionsServeTheNewModel) {
   const auto queries = query_pool(48);
   ASSERT_FALSE(queries.empty());
   // A scan the two models disagree on makes staleness observable.
@@ -566,17 +551,11 @@ TEST(RouterHotSwap, CachedFixNeverOutlivesItsModel) {
       << "fixture models with different grids must disagree somewhere";
 
   Router router;
-  ShardConfig cfg = shard_config("swap");
-  cfg.engine.cache_capacity = 256;
-  ASSERT_TRUE(router.add_shard(cfg, localizer_a()));
+  ASSERT_TRUE(router.add_shard(shard_config("swap"), localizer_a()));
 
-  engine::Submission warm = router.submit("swap", queries[probe]);
-  ASSERT_TRUE(warm.accepted());
-  EXPECT_TRUE(fixes_identical(warm.result.get(), localizer_a().locate(queries[probe])));
-  engine::Submission hit = router.submit("swap", queries[probe]);
-  ASSERT_TRUE(hit.accepted());
-  (void)hit.result.get();
-  EXPECT_EQ(router.shard_engine_stats("swap").front().cache_hits, 1u);
+  engine::Submission before = router.submit("swap", queries[probe]);
+  ASSERT_TRUE(before.accepted());
+  EXPECT_TRUE(fixes_identical(before.result.get(), localizer_a().locate(queries[probe])));
 
   ASSERT_TRUE(router.hot_swap("swap", localizer_b()));
 
@@ -585,9 +564,6 @@ TEST(RouterHotSwap, CachedFixNeverOutlivesItsModel) {
   const serve::Fix fix = after.result.get();
   EXPECT_TRUE(fixes_identical(fix, localizer_b().locate(queries[probe])));
   EXPECT_FALSE(fixes_identical(fix, localizer_a().locate(queries[probe])));
-  const auto engines = router.shard_engine_stats("swap");
-  ASSERT_EQ(engines.size(), 1u);
-  EXPECT_EQ(engines.front().cache_hits, 0u);  // fresh generation, fresh cache
 }
 
 TEST(RouterHotSwap, SessionsAreStickyToTheirGeneration) {
