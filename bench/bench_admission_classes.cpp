@@ -21,12 +21,13 @@
 //      locate() (class and deadline never change a served result).
 // Gates 1, 2 and 4 hold on every priority pass.
 //
-// Knobs: the shared NOBLE_ENGINE_* set (bench::engine_config_from_env —
-// NOBLE_ENGINE_CLASS_CAPS and NOBLE_ENGINE_DEADLINE_US included),
-// NOBLE_FLEET_ENGINES, NOBLE_ADMISSION_INTERACTIVE_CLIENTS /
-// NOBLE_ADMISSION_BULK_CLIENTS / NOBLE_ADMISSION_REQUESTS /
-// NOBLE_ADMISSION_PACE_US / NOBLE_ADMISSION_BULK_DEADLINE_US, plus
-// NOBLE_SCALE / NOBLE_EPOCHS experiment sizing.
+// Knobs (read through bench::EnvConfig and echoed in the banner): the
+// shared NOBLE_ENGINE_* set (NOBLE_ENGINE_CLASS_CAPS and
+// NOBLE_ENGINE_DEADLINE_US included), NOBLE_FLEET_ENGINES,
+// NOBLE_ADMISSION_INTERACTIVE_CLIENTS / NOBLE_ADMISSION_BULK_CLIENTS /
+// NOBLE_ADMISSION_REQUESTS / NOBLE_ADMISSION_PACE_US /
+// NOBLE_ADMISSION_BULK_DEADLINE_US, plus NOBLE_SCALE / NOBLE_EPOCHS
+// experiment sizing.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -39,6 +40,7 @@
 #include "fleet/router.h"
 #include "serve/wifi_localizer.h"
 #include "support/bench_util.h"
+#include "support/env_config.h"
 
 int main() {
   using namespace noble;
@@ -69,38 +71,32 @@ int main() {
   defaults.max_wait_us = 100;
   defaults.queue_cap = 256;
   defaults.bulk_cap = 64;  // 192 slots reserved for interactive traffic
-  const engine::EngineConfig cfg = bench::engine_config_from_env(defaults);
+  bench::EnvConfig env;
+  const engine::EngineConfig cfg = env.engine(defaults);
   const auto engines_per_shard =
-      static_cast<std::size_t>(env_int("NOBLE_FLEET_ENGINES", 1));
+      static_cast<std::size_t>(env.integer("NOBLE_FLEET_ENGINES", 1));
 
   bench::MixedLoadConfig load;
   load.interactive_clients = static_cast<std::size_t>(
-      env_int("NOBLE_ADMISSION_INTERACTIVE_CLIENTS", 2));
+      env.integer("NOBLE_ADMISSION_INTERACTIVE_CLIENTS", 2));
   load.bulk_clients =
-      static_cast<std::size_t>(env_int("NOBLE_ADMISSION_BULK_CLIENTS", 2));
+      static_cast<std::size_t>(env.integer("NOBLE_ADMISSION_BULK_CLIENTS", 2));
   // The 1000-per-client floor keeps the p99 gate statistically meaningful
   // even at smoke scale: with 2 clients each pass's p99 rests on ~20 tail
   // samples, not the handful a scheduler hiccup could flip.
-  load.interactive_requests = static_cast<std::size_t>(
-      env_int("NOBLE_ADMISSION_REQUESTS", static_cast<long>(scaled(1000, 1000))));
+  load.interactive_requests = static_cast<std::size_t>(env.integer(
+      "NOBLE_ADMISSION_REQUESTS", static_cast<long>(scaled(1000, 1000))));
   load.bulk_requests = 4 * load.interactive_requests;
   load.interactive_pace_us =
-      static_cast<std::uint64_t>(env_int("NOBLE_ADMISSION_PACE_US", 200));
+      static_cast<std::uint64_t>(env.integer("NOBLE_ADMISSION_PACE_US", 200));
   load.bulk_deadline_us = static_cast<std::uint64_t>(
-      env_int("NOBLE_ADMISSION_BULK_DEADLINE_US", 5000));
+      env.integer("NOBLE_ADMISSION_BULK_DEADLINE_US", 5000));
   load.bulk_inflight_window = 256;  // flood, do not self-throttle
   load.bulk_sustain = true;  // keep flooding until the interactive run ends
 
   const std::string key = "campus";
   const std::vector<std::string> keys{key};
-  std::printf("fleet: 1 shard x %zu engines | engine: %s\n", engines_per_shard,
-              bench::describe_engine_config(cfg).c_str());
-  std::printf("load: %zu interactive clients x %zu (pace %llu us) vs "
-              "%zu bulk clients x %zu (deadline %llu us)\n\n",
-              load.interactive_clients, load.interactive_requests,
-              static_cast<unsigned long long>(load.interactive_pace_us),
-              load.bulk_clients, load.bulk_requests,
-              static_cast<unsigned long long>(load.bulk_deadline_us));
+  std::printf("knobs:\n%s\n", env.describe().c_str());
 
   // Warm-up.
   for (std::size_t i = 0; i < std::min<std::size_t>(64, queries.size()); ++i) {

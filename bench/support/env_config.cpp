@@ -1,14 +1,12 @@
 #include "support/env_config.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "engine/backend.h"
 #include "kernels/kernels.h"
-#include "support/bench_util.h"
 
 namespace noble::bench {
 
@@ -35,23 +33,6 @@ long EnvConfig::integer(const char* name, long fallback) {
     }
   }
   record(name, std::to_string(value), from_env);
-  return value;
-}
-
-double EnvConfig::real(const char* name, double fallback) {
-  double value = fallback;
-  bool from_env = false;
-  if (const char* raw = std::getenv(name); raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const double parsed = std::strtod(raw, &end);
-    if (end != raw && *end == '\0') {
-      value = parsed;
-      from_env = true;
-    }
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", value);
-  record(name, buf, from_env);
   return value;
 }
 
@@ -108,7 +89,9 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
                       ? Precision::kInt8
                       : Precision::kFloat32;
   // "interactive:bulk" queue-slot caps; malformed input keeps the defaults.
-  const std::string caps = text("NOBLE_ENGINE_CLASS_CAPS", "");
+  const std::string caps =
+      text("NOBLE_ENGINE_CLASS_CAPS", std::to_string(defaults.interactive_cap) + ":" +
+                                          std::to_string(defaults.bulk_cap));
   if (const std::size_t colon = caps.find(':'); colon != std::string::npos) {
     char* end = nullptr;
     const unsigned long interactive = std::strtoul(caps.c_str(), &end, 10);
@@ -123,22 +106,6 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
   }
   cfg.default_deadline_us = static_cast<std::uint64_t>(integer(
       "NOBLE_ENGINE_DEADLINE_US", static_cast<long>(defaults.default_deadline_us)));
-  return cfg;
-}
-
-gateway::GatewayConfig EnvConfig::gateway(gateway::GatewayConfig defaults) {
-  gateway::GatewayConfig cfg = std::move(defaults);
-  cfg.port =
-      static_cast<std::uint16_t>(integer("NOBLE_GATEWAY_PORT", cfg.port));
-  cfg.threads = static_cast<std::size_t>(
-      integer("NOBLE_GATEWAY_THREADS", static_cast<long>(cfg.threads)));
-  return cfg;
-}
-
-OpenLoopConfig EnvConfig::open_loop(OpenLoopConfig defaults) {
-  OpenLoopConfig cfg = defaults;
-  cfg.offered_qps = real("NOBLE_LOAD_QPS", defaults.offered_qps);
-  cfg.seconds = real("NOBLE_LOAD_SECONDS", defaults.seconds);
   return cfg;
 }
 

@@ -1,19 +1,12 @@
-// One env-knob reader for every bench and demo binary.
+// One env-knob reader for every bench binary.
 //
-// Before this, engine_config_from_env, gateway_config_from_env and
-// open_loop_config_from_env each read the environment their own way and
-// printed their own banners; adding the NOBLE_CLUSTER_* family would have
-// made a fourth copy. EnvConfig is the single path: every read goes through
-// integer()/real()/flag()/text(), which apply the environment over the
-// caller's default AND record what was read — name, resolved value, and
-// whether the environment or the default supplied it. describe() then
-// renders the whole record, so a CI log always shows the exact knob set
-// that produced a run, including the knobs left at their defaults.
-//
-// The old *_config_from_env names survive as thin wrappers over the
-// composite readers here (engine()/gateway()/open_loop()), so existing
-// benches compile unchanged; new code should construct an EnvConfig,
-// read every config through it, and print describe() once.
+// Every read goes through integer()/flag()/text(), which apply the
+// environment over the caller's default AND record what was read — name,
+// resolved value, and whether the environment or the default supplied it.
+// describe() then renders the whole record, so a CI log always shows the
+// exact knob set that produced a run, including the knobs left at their
+// defaults. A bench constructs one EnvConfig, reads every config through
+// it, and prints describe() once.
 #ifndef NOBLE_BENCH_SUPPORT_ENV_CONFIG_H_
 #define NOBLE_BENCH_SUPPORT_ENV_CONFIG_H_
 
@@ -23,11 +16,8 @@
 #include "cluster/coordinator.h"
 #include "cluster/node.h"
 #include "engine/engine.h"
-#include "gateway/gateway.h"
 
 namespace noble::bench {
-
-struct OpenLoopConfig;  // bench_util.h (kept there: load-generator territory)
 
 /// One recorded environment read.
 struct EnvKnob {
@@ -40,7 +30,6 @@ class EnvConfig {
  public:
   // --- primitive recorded reads ----------------------------------------------
   long integer(const char* name, long fallback);
-  double real(const char* name, double fallback);
   bool flag(const char* name, bool fallback);  ///< "0" = false, anything else true
   std::string text(const char* name, std::string fallback);
 
@@ -48,10 +37,6 @@ class EnvConfig {
   /// NOBLE_ENGINE_* family + the process-wide NOBLE_KERNEL override.
   /// `defaults.workers == 0` means auto-size to min(hardware, 8), at least 2.
   engine::EngineConfig engine(engine::EngineConfig defaults = {});
-  /// NOBLE_GATEWAY_PORT / NOBLE_GATEWAY_THREADS.
-  gateway::GatewayConfig gateway(gateway::GatewayConfig defaults = {});
-  /// NOBLE_LOAD_QPS / NOBLE_LOAD_SECONDS.
-  OpenLoopConfig open_loop(OpenLoopConfig defaults);
   /// NOBLE_CLUSTER_NODE (name), NOBLE_CLUSTER_SERVE_PORT,
   /// NOBLE_CLUSTER_COORD_HOST / NOBLE_CLUSTER_COORD_PORT,
   /// NOBLE_CLUSTER_HEARTBEAT_MS, NOBLE_CLUSTER_SPILL (0/1).
@@ -61,11 +46,9 @@ class EnvConfig {
   cluster::CoordinatorConfig cluster_coordinator(
       cluster::CoordinatorConfig defaults = {});
 
-  /// Every read so far, in read order (duplicates collapse onto the latest).
-  const std::vector<EnvKnob>& knobs() const { return knobs_; }
-
   /// Multi-line "NOBLE_X=value" / "NOBLE_X=value (default)" record of every
-  /// read — the one banner path for env-driven configuration.
+  /// read so far, in read order (a re-read replaces its entry) — the one
+  /// banner path for env-driven configuration.
   std::string describe() const;
 
  private:

@@ -2,7 +2,9 @@
 // prefixes, unknown message types, version mismatches — each must fail the
 // connection cleanly, never crash or leak), listener lifecycle over real
 // loopback sockets, per-connection backpressure, session sweeping on
-// disconnect, and wire-vs-direct fix bit-identity.
+// disconnect, wire-vs-direct fix bit-identity, and scrape coherence (the
+// registry counts every request a client sent, and the stage clocks
+// telescope to the end-to-end latency).
 //
 // The suite carries the `concurrency` CTest label and runs under
 // -DNOBLE_SANITIZE=thread in CI: the listener's handler threads, the
@@ -16,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -31,6 +34,8 @@
 #include "gateway/client.h"
 #include "gateway/gateway.h"
 #include "gateway/wire.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
 
@@ -693,6 +698,99 @@ TEST(GatewayListener, BinaryScrapeDecodesToTheSameTelemetry) {
   ASSERT_NE(e2e, nullptr);
   ASSERT_TRUE(e2e->hist.has_value());
   EXPECT_TRUE(e2e->hist->same_layout(Histogram::latency_us()));
+}
+
+/// `name{labels}`'s histogram in `after` minus the same one in `before`: the
+/// distribution of just the traffic between the two scrapes.
+Histogram histogram_delta(const obs::MetricsSnapshot& after,
+                          const obs::MetricsSnapshot& before, const std::string& name,
+                          const obs::Labels& labels = {}) {
+  const obs::MetricSample* a = after.find(name, labels);
+  const obs::MetricSample* b = before.find(name, labels);
+  EXPECT_TRUE(a != nullptr && a->hist.has_value()) << "missing: " << name;
+  EXPECT_TRUE(b != nullptr && b->hist.has_value()) << "missing: " << name;
+  if (a == nullptr || b == nullptr || !a->hist || !b->hist) {
+    return Histogram::latency_us();
+  }
+  Histogram delta = *a->hist;
+  delta.subtract(*b->hist);
+  return delta;
+}
+
+// 32 locates at 100% trace sampling, bracketed by binary scrapes of a quiet
+// gateway: the registry counts exactly the requests the client sent, every
+// one leaves an e2e trace sample, and the per-stage clocks add up to that
+// e2e latency. The stage marks telescope, so the means agree almost
+// exactly; medians do not add, so their sum only has to land near the e2e
+// median — a band that still catches a stage clock that is broken.
+TEST(GatewayListener, ScrapeCountsEveryProbeAndStageClocksTelescope) {
+  struct RestoreTracer {
+    obs::TraceConfig saved = obs::Tracer::global().config();
+    ~RestoreTracer() { obs::Tracer::global().configure(saved); }
+  } restore;
+  obs::TraceConfig traced = restore.saved;
+  traced.enabled = true;
+  traced.sample_rate = 1.0;
+  obs::Tracer::global().configure(traced);
+
+  LiveGateway gw;
+  std::optional<GatewayClient> client =
+      GatewayClient::connect("127.0.0.1", gw.listener.port());
+  ASSERT_TRUE(client.has_value());
+  const auto scrape = [&client]() -> std::optional<obs::MetricsSnapshot> {
+    const std::optional<std::string> bytes = client->stats_snapshot_bytes();
+    if (!bytes.has_value()) return std::nullopt;
+    return obs::decode_snapshot(*bytes);
+  };
+
+  constexpr std::uint64_t kProbes = 32;
+  const auto queries = test_queries(kProbes);
+  ASSERT_FALSE(queries.empty());
+  const std::optional<obs::MetricsSnapshot> before = scrape();
+  ASSERT_TRUE(before.has_value());
+  Histogram client_us = Histogram::latency_us();
+  for (std::uint64_t i = 0; i < kProbes; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client->locate("bldg-A", queries[i % queries.size()]).ok());
+    client_us.record(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+  }
+  const std::optional<obs::MetricsSnapshot> after = scrape();
+  ASSERT_TRUE(after.has_value());
+
+  const obs::MetricSample* submitted_before = before->find("noble_fleet_submitted");
+  const obs::MetricSample* submitted_after = after->find("noble_fleet_submitted");
+  ASSERT_NE(submitted_before, nullptr);
+  ASSERT_NE(submitted_after, nullptr);
+  EXPECT_EQ(submitted_after->counter_value - submitted_before->counter_value, kProbes);
+
+  const Histogram e2e = histogram_delta(*after, *before, "noble_trace_e2e_us");
+  ASSERT_EQ(e2e.count(), kProbes);
+  double stage_mean_sum = 0.0;
+  double stage_p50_sum = 0.0;
+  for (std::size_t s = 0; s < obs::kNumStages; ++s) {
+    const Histogram stage =
+        histogram_delta(*after, *before, "noble_stage_latency_us",
+                        {{"stage", obs::stage_name(static_cast<obs::Stage>(s))}});
+    stage_mean_sum += stage.count() > 0 ? stage.mean() : 0.0;
+    stage_p50_sum += stage.percentile(50.0);
+  }
+  const double e2e_mean = e2e.mean();
+  const double e2e_p50 = e2e.percentile(50.0);
+  EXPECT_LE(std::abs(stage_mean_sum - e2e_mean), 0.01 * e2e_mean + 1.0)
+      << "stage means sum " << stage_mean_sum << " us vs e2e mean " << e2e_mean;
+  EXPECT_GE(stage_p50_sum, 0.25 * e2e_p50)
+      << "stage p50 sum " << stage_p50_sum << " us vs e2e p50 " << e2e_p50;
+  EXPECT_LE(stage_p50_sum, 2.0 * e2e_p50 + 10.0)
+      << "stage p50 sum " << stage_p50_sum << " us vs e2e p50 " << e2e_p50;
+
+  // Light load is far below saturation: the client-side p99 is a finite,
+  // positive latency.
+  const double p99 = summarize_latency_us(client_us).p99_us;
+  EXPECT_GT(p99, 0.0);
+  EXPECT_LT(p99, 1e9);
+  EXPECT_EQ(gw.listener.counters().malformed_frames, 0u);
 }
 
 // ---------------------------------------------------------------------------

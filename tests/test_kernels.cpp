@@ -3,7 +3,8 @@
 // Scalar is the reference. Every other way of computing the same op — AVX2
 // dispatch, pre-packed weight layouts, fused epilogues, whole optimized
 // plans — must reproduce the reference *bitwise*, across ragged K/N tails,
-// batch sizes 1..17, zero-row inputs and every epilogue combination. The
+// batch sizes 1..17 (and 64 at two full-size shapes), zero-row inputs and
+// every epilogue combination. The
 // suites compare raw storage with memcmp, so a single flipped bit anywhere
 // fails loudly.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -94,6 +96,28 @@ constexpr Activation kActivations[] = {Activation::kNone, Activation::kTanh,
 const std::size_t kShapesK[] = {1, 3, 8, 31, 33, 128};
 const std::size_t kShapesN[] = {1, 5, 8, 16, 17, 127};
 const std::size_t kBatches[] = {1, 2, 3, 5, 8, 13, 16, 17};
+
+/// One (k x n) weight shape and the batch sizes it is swept at.
+struct ParityCase {
+  std::size_t k, n;
+  std::vector<std::size_t> batches;
+};
+
+/// What the scalar-vs-AVX2 parity suites sweep: every kShapesK x kShapesN
+/// pair at every kBatches size, plus two full-size shapes at batches 1, 8
+/// and 64 — one near the serving model's hidden layers, one ragged in every
+/// tail.
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> cases;
+  for (const std::size_t k : kShapesK) {
+    for (const std::size_t n : kShapesN) {
+      cases.push_back({k, n, {std::begin(kBatches), std::end(kBatches)}});
+    }
+  }
+  cases.push_back({256, 512, {1, 8, 64}});
+  cases.push_back({129, 131, {1, 8, 64}});
+  return cases;
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch control.
@@ -182,44 +206,46 @@ TEST(KernelPacking, PackedQuantizedLayoutRoundTrips) {
 // all epilogues, zero rows.
 // ---------------------------------------------------------------------------
 
+// Packed vs unpacked is checked on every host; without AVX2 the test then
+// reports itself skipped, since the scalar-vs-AVX2 half could not run.
 TEST(KernelParityFp32, ScalarVsAvx2BitIdenticalAcrossShapesAndEpilogues) {
-  if (!avx2_supported()) GTEST_SKIP() << "AVX2 unavailable on this host";
+  const bool avx2 = avx2_supported();
   IsaGuard guard;
   Rng rng(7);
   std::size_t combo = 0;
-  for (const std::size_t k : kShapesK) {
-    for (const std::size_t n : kShapesN) {
-      const Mat w = random_mat(k, n, rng);
-      std::vector<float> bias(n);
-      for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-      const BnFold bn = random_bn_fold(n, rng);
-      for (const std::size_t m : kBatches) {
-        // Cycle epilogue shape with the combo index to bound runtime while
-        // still covering every (activation x bn x bias) form many times.
-        Epilogue ep;
-        ep.act = kActivations[combo % 4];
-        ep.bias = combo % 2 == 0 ? bias.data() : nullptr;
-        ep.bn = combo % 3 == 0 ? &bn : nullptr;
-        ++combo;
-        const Mat x = random_mat(m, k, rng, /*sparsity=*/0.3,
-                                 /*zero_row=*/m >= 2 ? 1 : SIZE_MAX);
-        Mat y_scalar, y_avx2, yp_scalar, yp_avx2;
-        const PackedDense packed = pack_dense(w);
-        force_isa(Isa::kScalar);
-        dense_forward(x, w.data(), k, n, ep, y_scalar);
-        dense_forward(x, packed, ep, yp_scalar);
-        force_isa(Isa::kAvx2);
-        dense_forward(x, w.data(), k, n, ep, y_avx2);
-        dense_forward(x, packed, ep, yp_avx2);
-        EXPECT_TRUE(bitwise_equal(y_scalar, y_avx2))
-            << "unpacked m=" << m << " k=" << k << " n=" << n;
-        EXPECT_TRUE(bitwise_equal(yp_scalar, yp_avx2))
-            << "packed m=" << m << " k=" << k << " n=" << n;
-        EXPECT_TRUE(bitwise_equal(y_scalar, yp_scalar))
-            << "packed-vs-unpacked m=" << m << " k=" << k << " n=" << n;
-      }
+  for (const auto& [k, n, batches] : parity_cases()) {
+    const Mat w = random_mat(k, n, rng);
+    std::vector<float> bias(n);
+    for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+    const BnFold bn = random_bn_fold(n, rng);
+    for (const std::size_t m : batches) {
+      // Cycle epilogue shape with the combo index to bound runtime while
+      // still covering every (activation x bn x bias) form many times.
+      Epilogue ep;
+      ep.act = kActivations[combo % 4];
+      ep.bias = combo % 2 == 0 ? bias.data() : nullptr;
+      ep.bn = combo % 3 == 0 ? &bn : nullptr;
+      ++combo;
+      const Mat x = random_mat(m, k, rng, /*sparsity=*/0.3,
+                               /*zero_row=*/m >= 2 ? 1 : SIZE_MAX);
+      Mat y_scalar, y_avx2, yp_scalar, yp_avx2;
+      const PackedDense packed = pack_dense(w);
+      force_isa(Isa::kScalar);
+      dense_forward(x, w.data(), k, n, ep, y_scalar);
+      dense_forward(x, packed, ep, yp_scalar);
+      EXPECT_TRUE(bitwise_equal(y_scalar, yp_scalar))
+          << "packed-vs-unpacked m=" << m << " k=" << k << " n=" << n;
+      if (!avx2) continue;
+      force_isa(Isa::kAvx2);
+      dense_forward(x, w.data(), k, n, ep, y_avx2);
+      dense_forward(x, packed, ep, yp_avx2);
+      EXPECT_TRUE(bitwise_equal(y_scalar, y_avx2))
+          << "unpacked m=" << m << " k=" << k << " n=" << n;
+      EXPECT_TRUE(bitwise_equal(yp_scalar, yp_avx2))
+          << "packed m=" << m << " k=" << k << " n=" << n;
     }
   }
+  if (!avx2) GTEST_SKIP() << "AVX2 unavailable on this host";
 }
 
 TEST(KernelParityFp32, ScalarKernelMatchesNaiveReferenceLoop) {
@@ -291,49 +317,51 @@ TEST(KernelParityFp32, ZeroRowProducesExactlyTheEpilogueOfZero) {
 // int8 parity.
 // ---------------------------------------------------------------------------
 
+// Same split as the fp32 suite: packed vs unpacked everywhere, the
+// scalar-vs-AVX2 half (and a pass rather than a skip) only with AVX2.
 TEST(KernelParityInt8, ScalarVsAvx2BitIdenticalAcrossShapes) {
-  if (!avx2_supported()) GTEST_SKIP() << "AVX2 unavailable on this host";
+  const bool avx2 = avx2_supported();
   IsaGuard guard;
   Rng rng(19);
   std::size_t combo = 0;
-  for (const std::size_t k : kShapesK) {
-    for (const std::size_t n : kShapesN) {
-      std::vector<std::int8_t> weights(k * n);
-      std::vector<float> scales(n);
-      for (auto& v : weights) {
-        v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-      }
-      for (auto& s : scales) s = static_cast<float>(rng.uniform(0.001, 0.1));
-      if (n > 1) scales[0] = 0.0f;  // an all-zero quantized column
-      std::vector<float> bias(n);
-      for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-      const QuantizedView view{weights.data(), scales.data(), k, n};
-      const PackedQuantized packed = pack_quantized(view);
-      const BnFold bn = random_bn_fold(n, rng);
-      for (const std::size_t m : kBatches) {
-        Epilogue ep;
-        ep.bias = bias.data();
-        ep.act = kActivations[combo % 4];
-        ep.bn = combo % 3 == 0 ? &bn : nullptr;
-        ++combo;
-        const Mat x = random_mat(m, k, rng, /*sparsity=*/0.3,
-                                 /*zero_row=*/m >= 2 ? 0 : SIZE_MAX);
-        Mat y_scalar, y_avx2, yp_scalar, yp_avx2;
-        force_isa(Isa::kScalar);
-        quantized_forward(x, view, ep, y_scalar);
-        quantized_forward(x, packed, ep, yp_scalar);
-        force_isa(Isa::kAvx2);
-        quantized_forward(x, view, ep, y_avx2);
-        quantized_forward(x, packed, ep, yp_avx2);
-        EXPECT_TRUE(bitwise_equal(y_scalar, y_avx2))
-            << "unpacked m=" << m << " k=" << k << " n=" << n;
-        EXPECT_TRUE(bitwise_equal(yp_scalar, yp_avx2))
-            << "packed m=" << m << " k=" << k << " n=" << n;
-        EXPECT_TRUE(bitwise_equal(y_scalar, yp_scalar))
-            << "packed-vs-unpacked m=" << m << " k=" << k << " n=" << n;
-      }
+  for (const auto& [k, n, batches] : parity_cases()) {
+    std::vector<std::int8_t> weights(k * n);
+    std::vector<float> scales(n);
+    for (auto& v : weights) {
+      v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    }
+    for (auto& s : scales) s = static_cast<float>(rng.uniform(0.001, 0.1));
+    if (n > 1) scales[0] = 0.0f;  // an all-zero quantized column
+    std::vector<float> bias(n);
+    for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+    const QuantizedView view{weights.data(), scales.data(), k, n};
+    const PackedQuantized packed = pack_quantized(view);
+    const BnFold bn = random_bn_fold(n, rng);
+    for (const std::size_t m : batches) {
+      Epilogue ep;
+      ep.bias = bias.data();
+      ep.act = kActivations[combo % 4];
+      ep.bn = combo % 3 == 0 ? &bn : nullptr;
+      ++combo;
+      const Mat x = random_mat(m, k, rng, /*sparsity=*/0.3,
+                               /*zero_row=*/m >= 2 ? 0 : SIZE_MAX);
+      Mat y_scalar, y_avx2, yp_scalar, yp_avx2;
+      force_isa(Isa::kScalar);
+      quantized_forward(x, view, ep, y_scalar);
+      quantized_forward(x, packed, ep, yp_scalar);
+      EXPECT_TRUE(bitwise_equal(y_scalar, yp_scalar))
+          << "packed-vs-unpacked m=" << m << " k=" << k << " n=" << n;
+      if (!avx2) continue;
+      force_isa(Isa::kAvx2);
+      quantized_forward(x, view, ep, y_avx2);
+      quantized_forward(x, packed, ep, yp_avx2);
+      EXPECT_TRUE(bitwise_equal(y_scalar, y_avx2))
+          << "unpacked m=" << m << " k=" << k << " n=" << n;
+      EXPECT_TRUE(bitwise_equal(yp_scalar, yp_avx2))
+          << "packed m=" << m << " k=" << k << " n=" << n;
     }
   }
+  if (!avx2) GTEST_SKIP() << "AVX2 unavailable on this host";
 }
 
 QuantizedView unpacked_view(const core::QuantizedDense& layer) {
