@@ -14,9 +14,7 @@
 //     and node A's spill stops targeting it.
 //
 // Exits non-zero on any gate miss, so the smoke tier doubles as an
-// end-to-end cluster check. The same topology runs across real processes —
-// see bench_cluster (two-process smoke) and the README's two-terminal
-// quickstart with the NOBLE_CLUSTER_* knobs.
+// end-to-end cluster check.
 //
 // Run: ./example_cluster_demo
 #include <chrono>

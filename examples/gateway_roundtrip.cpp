@@ -97,7 +97,8 @@ int main() {
     return 1;
   }
   std::printf("gateway: listening on %s:%u (%zu handler threads)\n\n",
-              gw_config.bind_address.c_str(), listener.port(), gw_config.threads);
+              gw_config.server.bind_address.c_str(), listener.port(),
+              gw_config.server.threads);
 
   std::optional<gateway::GatewayClient> client =
       gateway::GatewayClient::connect("127.0.0.1", listener.port());

@@ -95,8 +95,7 @@ class PlanBackend final : public WifiBackend {
   std::shared_ptr<const serve::OptimizedNetwork> plan_;
 };
 
-/// "dense" (fp32) or "quantized" (int8): the replica's telemetry name and the
-/// NOBLE_ENGINE_BACKEND value that selects the precision.
+/// "dense" (fp32) or "quantized" (int8): the replica's telemetry name.
 std::string_view precision_name(serve::OptimizedNetwork::Precision precision);
 
 }  // namespace noble::engine

@@ -8,7 +8,7 @@
 // interactive traffic (latency is the product) and bulk traffic (throughput
 // is) share the queue but not its behavior —
 //
-//  * per-class capacity caps bound how much of the queue one class may
+//  * a bulk capacity cap bounds how much of the queue bulk traffic may
 //    occupy, so a bulk flood can never take the headroom interactive
 //    admissions rely on;
 //  * `pop_batch` drains interactive entries first on every sweep, bulk
@@ -51,7 +51,7 @@ namespace noble::engine {
 
 enum class PushResult {
   kOk,      ///< item enqueued
-  kFull,    ///< capacity (total or per-class) reached; item not enqueued
+  kFull,    ///< capacity (total or bulk) reached; item not enqueued
   kClosed,  ///< queue closed; item not enqueued
 };
 
@@ -76,33 +76,22 @@ constexpr std::size_t request_class_index(RequestClass cls) {
   return cls == RequestClass::kInteractive ? 0 : 1;
 }
 
-/// Per-class occupancy caps, each bounding how many queue slots one class
-/// may hold at once. 0 means "no class-specific cap" (the total capacity
-/// still applies). Setting `bulk` below the total capacity reserves the
-/// difference as interactive-only headroom.
-struct ClassCaps {
-  std::size_t interactive = 0;
-  std::size_t bulk = 0;
-
-  std::size_t of(RequestClass cls) const {
-    return cls == RequestClass::kInteractive ? interactive : bulk;
-  }
-};
-
 template <class T>
 class BoundedQueue {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit BoundedQueue(std::size_t capacity, ClassCaps caps = {})
-      : capacity_(capacity), caps_(caps) {
+  /// `bulk_cap` bounds how many queue slots bulk entries may hold at once;
+  /// 0 means "no bulk cap" (the total capacity still applies). Setting it
+  /// below `capacity` reserves the difference as interactive-only headroom.
+  explicit BoundedQueue(std::size_t capacity, std::size_t bulk_cap = 0)
+      : capacity_(capacity), bulk_cap_(bulk_cap) {
     NOBLE_EXPECTS(capacity >= 1);
-    NOBLE_EXPECTS(caps.interactive <= capacity);
-    NOBLE_EXPECTS(caps.bulk <= capacity);
+    NOBLE_EXPECTS(bulk_cap <= capacity);
   }
 
   /// Non-blocking enqueue; the caller owns rejection handling. kFull when
-  /// either the total capacity or the item's class cap is reached. An
+  /// the total capacity or, for a bulk item, the bulk cap is reached. An
   /// optional deadline marks the entry expired once the clock passes it —
   /// `pop_batch` then returns it through its `expired` out-list instead of
   /// the batch.
@@ -112,8 +101,9 @@ class BoundedQueue {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return PushResult::kClosed;
       std::deque<Entry>& lane = lanes_[request_class_index(cls)];
-      const std::size_t class_cap = caps_.of(cls);
-      if (class_cap > 0 && lane.size() >= class_cap) return PushResult::kFull;
+      if (cls == RequestClass::kBulk && bulk_cap_ > 0 && lane.size() >= bulk_cap_) {
+        return PushResult::kFull;
+      }
       if (size_locked() >= capacity_) return PushResult::kFull;
       Entry entry{std::move(item), deadline, next_seq_++};
       if (cls == RequestClass::kBulk) {
@@ -213,7 +203,6 @@ class BoundedQueue {
   }
 
   std::size_t capacity() const { return capacity_; }
-  const ClassCaps& class_caps() const { return caps_; }
 
  private:
   struct Entry {
@@ -232,7 +221,7 @@ class BoundedQueue {
   std::size_t size_locked() const { return lanes_[0].size() + lanes_[1].size(); }
 
   const std::size_t capacity_;
-  const ClassCaps caps_;
+  const std::size_t bulk_cap_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   /// One lane per class; index 0 (interactive) always drains first.

@@ -11,9 +11,7 @@ Engine::Engine(const serve::WifiLocalizer& wifi, EngineConfig config)
 
 Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
     : config_(config),
-      queue_(config.queue_cap,
-             ClassCaps{std::min(config.interactive_cap, config.queue_cap),
-                       std::min(config.bulk_cap, config.queue_cap)}) {
+      queue_(config.queue_cap, std::min(config.bulk_cap, config.queue_cap)) {
   NOBLE_EXPECTS(prototype != nullptr);
   NOBLE_EXPECTS(config_.workers >= 1);
   NOBLE_EXPECTS(config_.max_batch >= 1);
@@ -50,15 +48,6 @@ void Engine::shutdown() {
   }
 }
 
-std::optional<Engine::Clock::time_point> Engine::resolve_deadline(
-    const SubmitOptions& options, const Clock::time_point& now) const {
-  if (options.deadline.has_value()) return options.deadline;
-  if (config_.default_deadline_us > 0) {
-    return now + std::chrono::microseconds(config_.default_deadline_us);
-  }
-  return std::nullopt;
-}
-
 void Engine::expire_promise(std::promise<serve::Fix>& promise, RequestClass cls) {
   class_expired_[request_class_index(cls)].inc();
   promise.set_exception(std::make_exception_ptr(DeadlineExpired{}));
@@ -71,9 +60,7 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
     return {SubmitStatus::kBadDimension, {}};
   }
   const Clock::time_point submitted_at = Clock::now();
-  const std::optional<Clock::time_point> deadline =
-      resolve_deadline(options, submitted_at);
-  if (deadline.has_value() && *deadline <= submitted_at) {
+  if (options.deadline.has_value() && *options.deadline <= submitted_at) {
     // Dead on arrival: never admitted, never copied, never a GEMM slot.
     class_expired_[cls].inc();
     return {SubmitStatus::kExpired, {}};
@@ -89,7 +76,8 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   // (the queue handoff is the happens-before edge for the later marks).
   if (options.trace != nullptr) options.trace->stamp(obs::Mark::kAdmitted);
   const PushResult pushed =
-      queue_.try_push(Request{std::move(request)}, options.request_class, deadline);
+      queue_.try_push(Request{std::move(request)}, options.request_class,
+                      options.deadline);
   if (pushed != PushResult::kOk) {
     class_accepted_[cls].sub();
     class_rejected_[cls].inc();
@@ -127,9 +115,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
     return {SubmitStatus::kBadDimension, {}};
   }
   const Clock::time_point submitted_at = Clock::now();
-  const std::optional<Clock::time_point> deadline =
-      resolve_deadline(options, submitted_at);
-  if (deadline.has_value() && *deadline <= submitted_at) {
+  if (options.deadline.has_value() && *options.deadline <= submitted_at) {
     class_expired_[cls].inc();
     return {SubmitStatus::kExpired, {}};
   }
@@ -144,7 +130,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
     return {SubmitStatus::kQueueFull, {}};
   }
   PendingUpdate update{std::move(segment), {}, submitted_at, options.request_class,
-                       deadline, options.trace};
+                       options.deadline, options.trace};
   std::future<serve::Fix> result = update.promise.get_future();
   // Same ordering as submit(): count before the work can become visible to
   // a worker, roll back on rejection. Admission for a session update means

@@ -19,7 +19,7 @@
 // Admission control is class- and deadline-aware. Every submission carries
 // a RequestClass — kInteractive (a user is waiting) or kBulk (background
 // re-localization sweep) — and optionally a deadline:
-//  - per-class queue caps bound how much of the bounded queue bulk traffic
+//  - a bulk queue cap bounds how much of the bounded queue bulk traffic
 //    may occupy, so a bulk flood sheds (kQueueFull) while interactive
 //    admissions keep their reserved headroom;
 //  - workers drain interactive entries first on every sweep, bulk fills
@@ -103,8 +103,7 @@ struct SubmitOptions {
   RequestClass request_class = RequestClass::kInteractive;
   /// Absolute steady-clock deadline. A request not *started* by then is
   /// expired: kExpired at submit if already past, DeadlineExpired on the
-  /// future if it lapses in the queue. nullopt falls back to
-  /// EngineConfig::default_deadline_us (0 there = no deadline).
+  /// future if it lapses in the queue. nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Optional stage trace (obs/trace.h), created by the submitting edge
   /// (gateway or bench harness). The engine stamps kAdmitted/kDequeued/
@@ -145,16 +144,11 @@ struct EngineConfig {
   /// Bounded request-queue capacity; submissions beyond it are rejected
   /// with kQueueFull (explicit backpressure instead of unbounded memory).
   std::size_t queue_cap = 1024;
-  /// Most queue slots interactive submissions may occupy at once; 0 means
-  /// "no class cap" (bounded by queue_cap only).
-  std::size_t interactive_cap = 0;
   /// Most queue slots bulk submissions may occupy at once; 0 means "no
-  /// class cap". Setting this below queue_cap reserves the difference as
-  /// interactive-only headroom — the load-shedding knob.
+  /// bulk cap" (bounded by queue_cap only). Setting this below queue_cap
+  /// reserves the difference as interactive-only headroom — the
+  /// load-shedding knob.
   std::size_t bulk_cap = 0;
-  /// Engine-wide default deadline budget in microseconds, applied to every
-  /// submission that does not carry its own deadline. 0 = no deadline.
-  std::uint64_t default_deadline_us = 0;
   /// Most not-yet-processed segments one tracking session may buffer before
   /// its submissions are rejected with kQueueFull.
   std::size_t session_backlog = 64;
@@ -266,7 +260,7 @@ class Engine {
   /// several engines with one scan) never pay for the copy.
   ///
   /// `options` selects the admission class (interactive drains before bulk,
-  /// per-class caps apply) and an optional deadline: already expired =>
+  /// the bulk cap applies) and an optional deadline: already expired =>
   /// kExpired here; expires while queued => DeadlineExpired on the future.
   Submission submit(const serve::RssiVector& rssi, const SubmitOptions& options);
   Submission submit(const serve::RssiVector& rssi) { return submit(rssi, {}); }
@@ -361,9 +355,6 @@ class Engine {
   /// sole consumer of every track it drains, so each track's updates apply
   /// strictly in FIFO order.
   void drain_sessions(const std::vector<SessionId>& ids, std::uint64_t dequeued_ns);
-  /// Resolves the effective deadline: explicit > engine default > none.
-  std::optional<Clock::time_point> resolve_deadline(const SubmitOptions& options,
-                                                    const Clock::time_point& now) const;
   /// Fails `promise` with DeadlineExpired and counts the expiry.
   void expire_promise(std::promise<serve::Fix>& promise, RequestClass cls);
 

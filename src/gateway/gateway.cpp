@@ -6,26 +6,10 @@
 
 namespace noble::gateway {
 
-namespace {
-
-net::ServerConfig to_server_config(const GatewayConfig& config) {
-  net::ServerConfig out;
-  out.port = config.port;
-  out.bind_address = config.bind_address;
-  out.threads = config.threads;
-  out.max_connections = config.max_connections;
-  out.max_frame_bytes = config.max_frame_bytes;
-  out.max_write_buffer = config.max_write_buffer;
-  out.listen_backlog = config.listen_backlog;
-  return out;
-}
-
-}  // namespace
-
 Listener::Listener(fleet::Routing& routing, GatewayConfig config)
     : routing_(routing),
       config_(std::move(config)),
-      server_(*this, to_server_config(config_)) {}
+      server_(*this, config_.server) {}
 
 // The server must stop before the Listener's protocol state goes away:
 // handler threads call back into on_service/on_close until joined.

@@ -67,26 +67,14 @@
 namespace noble::gateway {
 
 struct GatewayConfig {
-  /// TCP port to bind; 0 picks an ephemeral port (Listener::port() reports
-  /// the actual one — what tests and self-hosted benches want).
-  std::uint16_t port = 0;
-  /// Bind address. Loopback by default: this is a demo fleet, not an
-  /// internet-facing deployment.
-  std::string bind_address = "127.0.0.1";
-  /// Connection-handler threads; each multiplexes its share of connections.
-  std::size_t threads = 2;
-  /// Accepted connections beyond this are closed immediately.
-  std::size_t max_connections = 256;
-  /// Frames with a larger length prefix are malformed (connection closes).
-  std::size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
+  /// The listener's FrameServer: port (0 = ephemeral, Listener::port()
+  /// reports the actual one), loopback bind, handler threads, connection,
+  /// frame-size and write-buffer limits.
+  net::ServerConfig server;
   /// Most admitted-but-unfulfilled requests one connection may hold; the
   /// gateway answers kWindowFull beyond it without touching the router —
   /// per-connection backpressure in front of the fleet's own admission.
   std::size_t inflight_window = 64;
-  /// Bytes of pending response data before a connection is declared too
-  /// slow and closed (it is not reading what we send).
-  std::size_t max_write_buffer = 4u << 20;
-  int listen_backlog = 64;
 };
 
 /// Monotonic gateway-level counters (the fleet's own telemetry lives in

@@ -1,5 +1,5 @@
 // Admission-control tests: class-aware bounded-queue semantics (priority
-// ordering, per-class caps, deadline expiry — all deterministic), the
+// ordering, the bulk cap, deadline expiry — all deterministic), the
 // engine-level class/deadline contract (kExpired at submit, DeadlineExpired
 // in queue via a deliberately slow backend, interactive immunity to a bulk
 // flood under reserved headroom), per-class stats coherence across
@@ -54,7 +54,7 @@ TEST(AdmissionQueue, InteractiveDrainsBeforeBulk) {
 }
 
 TEST(AdmissionQueue, BulkCapReservesInteractiveHeadroom) {
-  BoundedQueue<int> queue(4, ClassCaps{0, 2});
+  BoundedQueue<int> queue(4, /*bulk_cap=*/2);
   EXPECT_EQ(queue.try_push(1, RequestClass::kBulk), PushResult::kOk);
   EXPECT_EQ(queue.try_push(2, RequestClass::kBulk), PushResult::kOk);
   // Bulk holds its 2-slot cap: the flood sheds while half the queue is free.
@@ -64,13 +64,6 @@ TEST(AdmissionQueue, BulkCapReservesInteractiveHeadroom) {
   // Total capacity still binds everyone, interactive included.
   EXPECT_EQ(queue.try_push(6, RequestClass::kInteractive), PushResult::kFull);
   EXPECT_EQ(queue.depth(), 4u);
-}
-
-TEST(AdmissionQueue, InteractiveCapBindsToo) {
-  BoundedQueue<int> queue(4, ClassCaps{1, 0});
-  EXPECT_EQ(queue.try_push(1, RequestClass::kInteractive), PushResult::kOk);
-  EXPECT_EQ(queue.try_push(2, RequestClass::kInteractive), PushResult::kFull);
-  EXPECT_EQ(queue.try_push(3, RequestClass::kBulk), PushResult::kOk);
 }
 
 TEST(AdmissionQueue, ExpiredEntriesAreHandedBackNotServed) {
@@ -232,30 +225,6 @@ TEST(AdmissionEngine, QueuedRequestExpiresBeforeWastingAGemmSlot) {
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.bulk.expired, 1u);
   EXPECT_EQ(stats.batches, 1u);  // B never formed a batch
-}
-
-TEST(AdmissionEngine, EngineDefaultDeadlineApplies) {
-  const auto queries = query_pool(1);
-  ASSERT_FALSE(queries.empty());
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.max_batch = 1;
-  cfg.max_wait_us = 0;
-  cfg.default_deadline_us = 20000;  // requests must start within 20 ms
-  Engine engine(std::make_unique<SlowBackend>(reference_localizer(),
-                                              std::chrono::milliseconds(150)),
-                cfg);
-  // The sleeper carries its own generous deadline (explicit beats default),
-  // so only the request stuck behind it rides the engine-wide 20 ms default
-  // — which its 150 ms wait is guaranteed to blow.
-  Submission first =
-      engine.submit(queries[0], SubmitOptions::interactive().expires_in_us(10'000'000));
-  ASSERT_TRUE(first.accepted());
-  Submission second = engine.submit(queries[0]);  // stuck behind the sleeper
-  ASSERT_TRUE(second.accepted());
-  (void)first.result.get();
-  EXPECT_THROW(second.result.get(), DeadlineExpired);
-  EXPECT_EQ(engine.stats().interactive.expired, 1u);
 }
 
 // ---------------------------------------------------------------------------

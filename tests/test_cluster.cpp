@@ -380,13 +380,13 @@ TEST(ClusterMembership, HeartbeatLossMarksANodeDeadAndSpillStopsTargetingIt) {
   bulk.request_class = engine::RequestClass::kBulk;
   const auto queries = test_queries(64);
   ASSERT_FALSE(queries.empty());
-  std::vector<std::future<serve::Fix>> accepted;
+  std::vector<std::pair<std::size_t, std::future<serve::Fix>>> accepted;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 64; ++i) {
-    engine::Submission sub =
-        a.agent->submit("bldg-A", queries[i % queries.size()], bulk);
+    const std::size_t qi = i % queries.size();
+    engine::Submission sub = a.agent->submit("bldg-A", queries[qi], bulk);
     if (sub.accepted()) {
-      accepted.push_back(std::move(sub.result));
+      accepted.emplace_back(qi, std::move(sub.result));
     } else {
       EXPECT_EQ(sub.status, engine::SubmitStatus::kQueueFull);
       ++rejected;
@@ -395,7 +395,10 @@ TEST(ClusterMembership, HeartbeatLossMarksANodeDeadAndSpillStopsTargetingIt) {
   EXPECT_GT(rejected, 0u) << "the tiny bulk lane must overflow";
   EXPECT_EQ(a.agent->counters().spill_forwarded, forwarded_before)
       << "spill must not target a dead peer";
-  for (auto& result : accepted) result.wait();
+  // What A did accept after the death it served itself, bit-identically.
+  for (auto& [qi, result] : accepted) {
+    EXPECT_TRUE(result.get() == localizer_v1().locate(queries[qi])) << "query " << qi;
+  }
 }
 
 // ---------------------------------------------------------------------------

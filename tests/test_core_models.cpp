@@ -3,11 +3,14 @@
 // Regression — the paper's central claim, verified at test scale.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/baselines.h"
 #include "core/evaluate.h"
 #include "core/experiment.h"
 #include "core/noble_imu.h"
 #include "core/noble_wifi.h"
+#include "serve/wifi_localizer.h"
 
 namespace noble::core {
 namespace {
@@ -84,6 +87,23 @@ TEST(NobleWifi, BeatsDeepRegressionOnStructure) {
   EXPECT_GT(noble_report.structure_score, reg_report.structure_score + 0.1);
   // And the headline: lower error (generous slack at this tiny scale).
   EXPECT_LT(noble_report.errors.median, reg_report.errors.median * 1.2);
+}
+
+TEST(NobleWifi, SameSeedsTrainTheSameArtifactDigest) {
+  // Training is a pure function of its config and data: a process that
+  // refits from the same seeds serves the same artifact as the original.
+  const auto& exp = small_uji();
+  NobleWifiConfig cfg = small_noble_config();
+  cfg.epochs = 2;
+  const auto digest_of = [&](const NobleWifiConfig& config) {
+    NobleWifiModel model(config);
+    model.fit(exp.split.train, &exp.split.val);
+    return serve::WifiLocalizer::from_model(model).artifact_digest();
+  };
+  const std::uint64_t first = digest_of(cfg);
+  EXPECT_EQ(digest_of(cfg), first);
+  cfg.seed += 1;
+  EXPECT_NE(digest_of(cfg), first) << "the digest must see the weights";
 }
 
 TEST(RegressionProjection, OutputsAreAlwaysAccessible) {
