@@ -319,8 +319,8 @@ engine::Submission NodeAgent::forward_spill(const proto::NodeInfo& peer,
   std::future<serve::Fix> result = waiter->get_future();
   const bool sent = conn->call(
       std::move(frame), options.deadline,
-      [waiter, &completed = spill_completed_, &failed = spill_failed_](
-          net::Channel::Outcome outcome, net::Frame reply) {
+      [waiter, notify = options.notify, &completed = spill_completed_,
+       &failed = spill_failed_](net::Channel::Outcome outcome, net::Frame reply) {
         serve::Fix fix;
         const wire::Status status =
             wire::decode_fix_reply(outcome, reply, proto::MsgType::kSpillResult, fix);
@@ -328,6 +328,9 @@ engine::Submission NodeAgent::forward_spill(const proto::NodeInfo& peer,
         // also sees every spill accounted for.
         (status == wire::Status::kOk ? completed : failed).inc();
         wire::settle_fix(*waiter, status, fix);
+        // The caller's notifier, as the engine would have called it: a
+        // Listener fronting this agent wakes for the spilled answer too.
+        if (notify) notify();
       });
   if (!sent) {
     std::lock_guard<std::mutex> lock(peers_mu_);
@@ -390,7 +393,8 @@ void NodeAgent::serve_spill(net::ServerConn& conn, const net::Frame& frame) {
     answer(wire::Status::kWrongArtifact);
     return;
   }
-  const engine::SubmitOptions options = wire::to_submit_options(frame);
+  engine::SubmitOptions options = wire::to_submit_options(frame);
+  options.notify = conn.notifier();
   // Strictly local: a spilled request is never spilled again, so the worst
   // case is one hop and an honest kQueueFull, not a forwarding storm.
   engine::Submission sub = router_.submit(shard_key, rssi, options);

@@ -18,7 +18,9 @@
 // spill one level up, and the digest guard keeps the answer bit-identical
 // to what the local shard would have produced. Interactive traffic never
 // spills across nodes (a network hop is exactly the latency an interactive
-// deadline cannot afford).
+// deadline cannot afford). A spilled future settles on the spill channel's
+// reader thread, which then calls the caller's SubmitOptions::notify, so a
+// Listener fronting the agent wakes for a spilled fix as for a local one.
 //
 // Inbound, the agent's FrameServer serves two conversations over the shared
 // net transport: kSpillSubmit from peers (served strictly locally — a

@@ -6,6 +6,20 @@
 
 namespace noble::engine {
 
+namespace {
+
+/// Calls the SubmitOptions::notify of every request in `settled`, after all
+/// of them are settled: a waiting edge wakes once per batch, not once per
+/// set_value.
+template <typename Settled>
+void notify_settled(Settled& settled) {
+  for (auto& request : settled) {
+    if (request.notify) request.notify();
+  }
+}
+
+}  // namespace
+
 Engine::Engine(const serve::WifiLocalizer& wifi, EngineConfig config)
     : Engine(std::make_unique<PlanBackend>(wifi, config.precision), config) {}
 
@@ -66,7 +80,8 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
     return {SubmitStatus::kExpired, {}};
   }
   // The only copy, on admission.
-  WifiRequest request{rssi, {}, submitted_at, options.request_class, options.trace};
+  WifiRequest request{rssi, {}, submitted_at, options.request_class, options.trace,
+                      options.notify};
   std::future<serve::Fix> result = request.promise.get_future();
   // Counted before the push: once the queue has the request a worker may
   // complete it immediately, and stats() must never observe
@@ -130,7 +145,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
     return {SubmitStatus::kQueueFull, {}};
   }
   PendingUpdate update{std::move(segment), {}, submitted_at, options.request_class,
-                       options.deadline, options.trace};
+                       options.deadline, options.trace, options.notify};
   std::future<serve::Fix> result = update.promise.get_future();
   // Same ordering as submit(): count before the work can become visible to
   // a worker, roll back on rejection. Admission for a session update means
@@ -166,13 +181,17 @@ bool Engine::close_session(SessionId session) {
     state = std::move(it->second);
     sessions_.erase(it);
   }
-  std::lock_guard<std::mutex> lock(state->mu);
-  state->closed = true;
-  for (PendingUpdate& pending : state->pending) {
+  std::deque<PendingUpdate> dropped;
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->closed = true;
+    dropped.swap(state->pending);
+  }
+  for (PendingUpdate& pending : dropped) {
     pending.promise.set_exception(std::make_exception_ptr(
         std::runtime_error("noble::engine: session closed with pending updates")));
   }
-  state->pending.clear();
+  notify_settled(dropped);
   return true;
 }
 
@@ -256,15 +275,19 @@ void Engine::worker_loop(std::size_t worker_index) {
     // One clock read marks kDequeued for every trace in this batch.
     const std::uint64_t dequeued_ns = obs::Trace::now_ns();
     // Deadline-expired takes never reach a replica: fail their futures and
-    // move on — the batch slots went to live requests instead.
+    // move on — the batch slots went to live requests instead. Their
+    // notifiers fire now, before the live batch computes.
+    std::vector<WifiRequest> lapsed;
     for (Request& request : expired) {
       if (auto* query = std::get_if<WifiRequest>(&request)) {
         expire_promise(query->promise, query->cls);
+        lapsed.push_back(std::move(*query));
       } else {
         // Tokens are pushed without deadlines; treat one here as live.
         batch.push_back(std::move(request));
       }
     }
+    notify_settled(lapsed);
     // Partition the takes: independent Wi-Fi queries coalesce into one
     // network pass; session tokens are drained afterwards in batched IMU
     // passes (their ordering lives in the per-session FIFO, not the shared
@@ -349,6 +372,7 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
       obs::Tracer::global().finish(*batch[i].trace);
     }
   }
+  notify_settled(batch);
 }
 
 void Engine::drain_sessions(const std::vector<SessionId>& ids,
@@ -381,12 +405,14 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
   // one no longer touches it).
   std::vector<char> active(tracks.size(), 1);
   std::vector<PendingUpdate> updates;
+  std::vector<PendingUpdate> lapsed;
   std::vector<serve::TrackingSession*> sessions;
   std::vector<const serve::ImuSegment*> segments;
   for (;;) {
     // One round: at most one live update per session, FIFO within each
     // track, the whole round served by a single batched pass.
     updates.clear();
+    lapsed.clear();
     sessions.clear();
     segments.clear();
     const Clock::time_point now = Clock::now();
@@ -404,6 +430,7 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
           // not finished (stage latency describes served requests), and its
           // successor gets this round's slot.
           expire_promise(update.promise, update.cls);
+          lapsed.push_back(std::move(update));
           continue;
         }
         updates.push_back(std::move(update));
@@ -416,6 +443,7 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         active[t] = 0;
       }
     }
+    notify_settled(lapsed);  // outside every session lock
     if (updates.empty()) break;
     const std::size_t n = updates.size();
     // Segment pointers only after the round's updates stopped moving.
@@ -472,6 +500,7 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         obs::Tracer::global().finish(*updates[i].trace);
       }
     }
+    notify_settled(updates);
   }
 }
 

@@ -54,6 +54,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -113,9 +114,23 @@ struct SubmitOptions {
   /// the hot path. Tracing is observability only: it never changes when,
   /// where, or with what result a request runs.
   std::shared_ptr<obs::Trace> trace;
+  /// Optional completion notifier, called once the request's future is
+  /// settled — with a fix, DeadlineExpired, or a close_session failure —
+  /// so an edge that multiplexes many futures on one thread (a socket
+  /// handler) wakes instead of polling. It runs on the settling thread:
+  /// an engine worker, or the close_session caller. It must never block or
+  /// take a lock the submitter may hold across a submit. The engine calls
+  /// each notifier after the whole batch, IMU round or expiry sweep that
+  /// settled its request, never between set_values. Empty (the default)
+  /// costs nothing.
+  std::function<void()> notify;
 
   static SubmitOptions interactive() { return {}; }
-  static SubmitOptions bulk() { return {RequestClass::kBulk, std::nullopt, nullptr}; }
+  static SubmitOptions bulk() {
+    SubmitOptions options;
+    options.request_class = RequestClass::kBulk;
+    return options;
+  }
   /// Fluent deadline-as-budget: expire unless started within `budget_us`.
   SubmitOptions& expires_in_us(std::uint64_t budget_us) {
     deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(budget_us);
@@ -315,6 +330,7 @@ class Engine {
     Clock::time_point submitted_at;
     RequestClass cls = RequestClass::kInteractive;
     std::shared_ptr<obs::Trace> trace;  ///< stage clock; nullptr = untraced
+    std::function<void()> notify;       ///< SubmitOptions::notify
   };
   /// Queue token: "this session has pending segments". One token is in
   /// flight per session regardless of backlog depth, so a busy track cannot
@@ -331,6 +347,7 @@ class Engine {
     RequestClass cls = RequestClass::kInteractive;
     std::optional<Clock::time_point> deadline;
     std::shared_ptr<obs::Trace> trace;  ///< stage clock; nullptr = untraced
+    std::function<void()> notify;       ///< SubmitOptions::notify
   };
   struct SessionState {
     explicit SessionState(serve::TrackingSession s) : session(std::move(s)) {}

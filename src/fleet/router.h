@@ -125,7 +125,9 @@ struct FleetStats {
 /// work, manage sticky sessions, answer capacity/identity questions. Router
 /// is the local implementation; the cluster's NodeAgent wraps a Router and
 /// implements the same surface with cross-node bulk spill behind it, so a
-/// gateway serves a multi-node fleet without knowing it.
+/// gateway serves a multi-node fleet without knowing it. Whatever settles a
+/// future that submit() or track() returned must call options.notify after
+/// it: the gateway's handler threads wake on nothing else.
 class Routing {
  public:
   virtual ~Routing() = default;

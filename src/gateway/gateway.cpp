@@ -71,6 +71,7 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
       }
       engine::SubmitOptions options = wire::to_submit_options(frame);
       options.trace = start_trace();
+      options.notify = conn.notifier();
       engine::Submission s = routing_.submit(shard_key, rssi, options);
       if (s.accepted()) {
         state.inflight.push_back(Pending{frame.request_id, frame.cls,
@@ -103,6 +104,7 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
       }
       engine::SubmitOptions options = wire::to_submit_options(frame);
       options.trace = start_trace();
+      options.notify = conn.notifier();
       engine::Submission s = routing_.track(it->second, std::move(segment), options);
       if (s.accepted()) {
         state.inflight.push_back(Pending{frame.request_id, frame.cls,
@@ -174,6 +176,8 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
 }
 
 bool Listener::on_service(net::ServerConn& conn) {
+  // Runs when a socket is ready or a settled future's notifier (set on
+  // every locate and track) woke this thread.
   if (conn.user == nullptr) return false;
   ConnState& state = *static_cast<ConnState*>(conn.user.get());
   return settle_inflight(conn, state) > 0;

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,6 +25,27 @@ bool set_nonblocking(int fd) {
 }
 
 }  // namespace
+
+Waker::Waker() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+
+Waker::~Waker() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void Waker::notify() {
+  if (kicked_.exchange(true, std::memory_order_acq_rel)) return;
+  const std::uint64_t one = 1;
+  (void)!::write(fd_, &one, sizeof one);
+}
+
+std::uint64_t Waker::reset() {
+  std::uint64_t writes = 0;
+  if (::read(fd_, &writes, sizeof writes) != sizeof writes) writes = 0;
+  // An exchange, not a store: reading the flag a notify set makes that
+  // notify's settled work visible to the pass that follows.
+  kicked_.exchange(false, std::memory_order_acq_rel);
+  return writes;
+}
 
 void ServerConn::send(const Frame& frame) {
   outbuf_ += encode_frame(frame);
@@ -70,24 +92,19 @@ bool FrameServer::start() {
   }
   port_ = ntohs(bound.sin_port);
 
-  running_.store(true, std::memory_order_release);
   handlers_.clear();
   const std::size_t threads = config_.threads == 0 ? 1 : config_.threads;
   for (std::size_t i = 0; i < threads; ++i) {
     auto handler = std::make_unique<HandlerThread>();
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-      running_.store(false, std::memory_order_release);
+    if (handler->waker->fd() < 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
+      handlers_.clear();
       return false;
     }
-    set_nonblocking(pipe_fds[0]);
-    set_nonblocking(pipe_fds[1]);
-    handler->wake_read_fd = pipe_fds[0];
-    handler->wake_write_fd = pipe_fds[1];
     handlers_.push_back(std::move(handler));
   }
+  running_.store(true, std::memory_order_release);
   for (auto& handler : handlers_) {
     handler->thread = std::thread([this, &h = *handler] { handler_loop(h); });
   }
@@ -101,10 +118,7 @@ void FrameServer::stop() {
   // accept thread is joined: closing (and overwriting) it here would race
   // the poll()/accept() calls still using it.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  for (auto& handler : handlers_) {
-    const char byte = 'q';
-    (void)!::write(handler->wake_write_fd, &byte, 1);
-  }
+  for (auto& handler : handlers_) handler->waker->notify();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -112,8 +126,6 @@ void FrameServer::stop() {
   }
   for (auto& handler : handlers_) {
     if (handler->thread.joinable()) handler->thread.join();
-    ::close(handler->wake_read_fd);
-    ::close(handler->wake_write_fd);
     // Adopt-queue stragglers the handler never saw still need closing.
     for (const int fd : handler->incoming) ::close(fd);
     handler->incoming.clear();
@@ -150,8 +162,7 @@ void FrameServer::accept_loop() {
       std::lock_guard<std::mutex> lock(handler.mu);
       handler.incoming.push_back(fd);
     }
-    const char byte = 'c';
-    (void)!::write(handler.wake_write_fd, &byte, 1);
+    handler.waker->notify();
   }
 }
 
@@ -160,59 +171,50 @@ void FrameServer::handler_loop(HandlerThread& handler) {
   std::vector<pollfd> pfds;
   while (running_.load(std::memory_order_acquire)) {
     pfds.clear();
-    pfds.push_back(pollfd{handler.wake_read_fd, POLLIN, 0});
-    bool any_busy = false;
+    pfds.push_back(pollfd{handler.waker->fd(), POLLIN, 0});
     for (const auto& conn : conns) {
       short events = POLLIN;
       if (!conn->outbuf_.empty()) events |= POLLOUT;
       pfds.push_back(pollfd{conn->fd_, events, 0});
-      any_busy = any_busy || conn->busy_;
     }
-    // With protocol work pending (the handler's last on_service said busy)
-    // the loop must poll it too — an engine future has no way to kick a
-    // socket thread — so sleep at most 200us instead of blocking. Idle
-    // handlers block until a socket or the wake pipe fires. ppoll for the
-    // sub-millisecond case: poll()'s millisecond floor would put a visible
-    // constant into every latency.
-    if (any_busy) {
-      const timespec wait{0, 200'000};
-      ::ppoll(pfds.data(), pfds.size(), &wait, nullptr);
-    } else {
-      ::ppoll(pfds.data(), pfds.size(), nullptr, nullptr);
-    }
+    // Block until a socket is ready or the waker fires: adoption, stop()
+    // and every settled hand-off (engine batch, spill reply) notify it, so
+    // pending work never needs a timed re-poll.
+    ::ppoll(pfds.data(), pfds.size(), nullptr, nullptr);
     if (!running_.load(std::memory_order_acquire)) break;
 
-    if (pfds[0].revents & POLLIN) {
-      char drain[64];
-      while (::read(handler.wake_read_fd, drain, sizeof drain) > 0) {
-      }
-    }
+    // Drain, then clear, then service: a notify that lands after the reset
+    // re-arms the fd for the next ppoll, and one that lands before it is
+    // covered by this pass's on_service.
+    if (pfds[0].revents & POLLIN) handler.waker->reset();
     {
       std::lock_guard<std::mutex> lock(handler.mu);
       for (const int fd : handler.incoming) {
-        conns.push_back(std::unique_ptr<ServerConn>(new ServerConn(fd, this)));
+        conns.push_back(
+            std::unique_ptr<ServerConn>(new ServerConn(fd, this, handler.waker)));
       }
       handler.incoming.clear();
     }
 
     for (std::size_t i = 0; i < conns.size();) {
       ServerConn& conn = *conns[i];
-      // pfds[0] is the wake pipe; connection i sat at pfds[i + 1] — but
+      // pfds[0] is the waker; connection i sat at pfds[i + 1] — but
       // adoption above may have grown conns past pfds, so guard the index.
       const short revents = i + 1 < pfds.size() ? pfds[i + 1].revents : 0;
       bool alive = (revents & (POLLERR | POLLNVAL)) == 0;
       if (alive && (revents & (POLLIN | POLLHUP))) alive = handle_readable(conn);
-      if (alive) conn.busy_ = handler_.on_service(conn);
+      if (alive) conn.pending_ = handler_.on_service(conn);
       if (alive && !conn.outbuf_.empty()) alive = flush_writes(conn);
       if (alive && conn.outbuf_.size() > config_.max_write_buffer) alive = false;
-      if (alive && conn.closing_ && conn.outbuf_.empty() && !conn.busy_) {
+      if (alive && conn.closing_ && conn.outbuf_.empty() && !conn.pending_) {
         alive = false;
       }
       if (!alive) {
         close_connection(conn);
         conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
         // pfds is now stale relative to conns; process remaining entries
-        // with no revents this pass (the next loop iteration re-polls).
+        // with no revents this pass (the next loop iteration re-polls, and
+        // level-triggered readiness reports them again).
         pfds.clear();
       } else {
         ++i;

@@ -5,8 +5,9 @@
 //
 //   peers ══ TCP, net::Frame ══▶ accept loop ──▶ handler 0 ─ conns…
 //                                  (round-robin)  handler 1 ─ conns…
-//                                                    │
-//                                        FrameHandler::on_frame / on_service
+//                                                  │     ▲
+//                       FrameHandler::on_frame / ◀─┘     └─ Waker ◀─ settled
+//                                      on_service                    hand-offs
 //
 // The FrameServer owns sockets, buffers and framing; the FrameHandler owns
 // meaning. Per connection the server keeps a read buffer (bytes -> frames),
@@ -14,6 +15,12 @@
 // handler's opaque per-connection state. Responses are whatever the handler
 // send()s, in whatever order it settles them — the transport never imposes
 // request order.
+//
+// Handler threads are completion-driven: each blocks in ppoll with no
+// timeout until a socket is ready or its Waker fires. Work a handler hands
+// elsewhere (an engine future, a spill RPC) carries the connection's
+// notifier(); whoever settles that work calls it, and the handler thread
+// wakes to run on_service. Nothing re-polls on a timer.
 //
 // The defensive-decode contract lives here, once: a frame that fails
 // decode_frame against the handler's MessageSet answers with one kError
@@ -25,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,6 +66,37 @@ struct ServerConfig {
 
 class FrameServer;
 
+/// Wakes one handler thread from any thread: an atomic "kicked" flag over an
+/// eventfd. notify() writes the fd only when it flips the flag false -> true,
+/// so a burst of notifies costs one syscall; the handler's reset() drains
+/// the fd and then clears the flag, in that order — a notify landing
+/// between the two finds the flag still set and skips its write, and the
+/// pass that follows reset() still sees the work it announced.
+///
+/// Held by shared_ptr and owning its fd: a notifier that outlives the
+/// server (an engine settling a future after stop()) writes to this waker's
+/// own open fd, never a closed or reused one.
+class Waker {
+ public:
+  Waker();
+  ~Waker();
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  /// Lock-free and non-blocking: safe from engine workers and channel
+  /// readers, and from the handler thread itself.
+  void notify();
+  /// Handler side: drains the fd, then clears the flag. Returns the number
+  /// of fd writes drained (0 when the wake came from elsewhere).
+  std::uint64_t reset();
+  /// Pollable: readable while a wake is pending.
+  int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+  std::atomic<bool> kicked_{false};
+};
+
 /// One live connection as the protocol handler sees it. Only valid inside
 /// the handler callbacks (the owning handler thread); never retained.
 class ServerConn {
@@ -76,6 +115,15 @@ class ServerConn {
   void close_after_flush() { closing_ = true; }
   bool closing() const { return closing_; }
 
+  /// This connection's handler-thread waker. Outlives the connection and
+  /// the server for as long as a holder keeps it.
+  const std::shared_ptr<Waker>& waker() const { return waker_; }
+  /// waker()->notify() as a callable: what a handler passes as the notifier
+  /// of work it hands off (engine::SubmitOptions::notify).
+  std::function<void()> notifier() const {
+    return [waker = waker_] { waker->notify(); };
+  }
+
   /// Protocol-defined per-connection state (in-flight windows, sticky
   /// sessions). The handler allocates it on first use; it is destroyed with
   /// the connection, after on_close.
@@ -83,13 +131,17 @@ class ServerConn {
 
  private:
   friend class FrameServer;
-  ServerConn(int fd, FrameServer* server) : fd_(fd), server_(server) {}
+  ServerConn(int fd, FrameServer* server, std::shared_ptr<Waker> waker)
+      : fd_(fd), server_(server), waker_(std::move(waker)) {}
   int fd_;
   FrameServer* server_;
+  std::shared_ptr<Waker> waker_;
   std::string inbuf_;
   std::string outbuf_;
   bool closing_ = false;
-  bool busy_ = false;  ///< last on_service verdict; drives the poll timeout
+  /// Last on_service verdict. Only keeps a closing connection open until
+  /// its pending work is answered; it never schedules a pass.
+  bool pending_ = false;
 };
 
 /// Transport-level counters (what only the socket layer can see; protocol
@@ -119,10 +171,12 @@ class FrameHandler {
   /// one-error-frame path call conn.fail() and return true).
   virtual bool on_frame(ServerConn& conn, Frame frame, std::uint64_t recv_ns) = 0;
 
-  /// Called once per poll pass per connection (frames or not): settle
-  /// pending futures, emit responses. Return true while the connection has
-  /// pending work — the poll loop then spins at a 200us timeout instead of
-  /// blocking (the engine has no way to kick a socket thread).
+  /// Called once per pass of the handler thread per connection (frames or
+  /// not): settle ready futures, emit responses. A pass runs when a socket
+  /// is ready or the thread's Waker fires, so work handed off must carry
+  /// conn.notifier() and have it called once settled — otherwise its answer
+  /// waits for unrelated traffic. Return true while work is still pending:
+  /// that only keeps a closing connection open until it is answered.
   virtual bool on_service(ServerConn& conn) {
     (void)conn;
     return false;
@@ -170,7 +224,9 @@ class FrameServer {
   struct HandlerThread {
     std::mutex mu;              ///< guards the handoff queue
     std::vector<int> incoming;  ///< accepted fds awaiting adoption
-    int wake_read_fd = -1, wake_write_fd = -1;
+    /// Kicked by adoption, stop() and every settled hand-off of its
+    /// connections.
+    std::shared_ptr<Waker> waker = std::make_shared<Waker>();
     std::thread thread;
   };
 

@@ -1,8 +1,11 @@
 // Cluster tests: proto body codecs (round trips, hostile bytes per frame
 // type — one kError frame, peer state untouched), coordinator membership
 // and heartbeat-loss death verdicts, cross-node bulk spill (bit-identical
-// fixes, digest guard, a silent peer never strands a spill), and the staged
-// canary -> probe -> commit rollout.
+// fixes, digest guard, a silent peer never strands a spill, a gateway
+// Listener fronting a node answers spilled fixes), and the staged
+// canary -> probe -> commit rollout. Overflow cases park the tight node's
+// single worker first (parked_workers.h), so its bulk lane overflows on
+// every run, not only when the flood outpaces the worker.
 //
 // The suite carries the `concurrency` CTest label: coordinator and node
 // FrameServers, heartbeat threads, spill channel readers and engine workers
@@ -29,8 +32,11 @@
 #include "core/experiment.h"
 #include "core/noble_wifi.h"
 #include "fleet/router.h"
+#include "gateway/client.h"
+#include "gateway/gateway.h"
 #include "gateway/wire.h"
 #include "net/socket.h"
+#include "parked_workers.h"
 #include "serve/artifact.h"
 #include "serve/wifi_localizer.h"
 
@@ -380,6 +386,7 @@ TEST(ClusterMembership, HeartbeatLossMarksANodeDeadAndSpillStopsTargetingIt) {
   bulk.request_class = engine::RequestClass::kBulk;
   const auto queries = test_queries(64);
   ASSERT_FALSE(queries.empty());
+  test_support::ParkedWorkers parked(*a.agent, "bldg-A", queries[0], 1);
   std::vector<std::pair<std::size_t, std::future<serve::Fix>>> accepted;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 64; ++i) {
@@ -395,6 +402,7 @@ TEST(ClusterMembership, HeartbeatLossMarksANodeDeadAndSpillStopsTargetingIt) {
   EXPECT_GT(rejected, 0u) << "the tiny bulk lane must overflow";
   EXPECT_EQ(a.agent->counters().spill_forwarded, forwarded_before)
       << "spill must not target a dead peer";
+  parked.release();
   // What A did accept after the death it served itself, bit-identically.
   for (auto& [qi, result] : accepted) {
     EXPECT_TRUE(result.get() == localizer_v1().locate(queries[qi])) << "query " << qi;
@@ -418,6 +426,7 @@ TEST(ClusterSpill, BulkOverflowSpillsToPeerBitIdentically) {
   bulk.request_class = engine::RequestClass::kBulk;
   const auto queries = test_queries(32);
   ASSERT_FALSE(queries.empty());
+  test_support::ParkedWorkers parked(*a.agent, "bldg-A", queries[0], 1);
   std::vector<std::pair<std::size_t, std::future<serve::Fix>>> accepted;
   for (std::size_t round = 0; round < 4; ++round) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -425,6 +434,7 @@ TEST(ClusterSpill, BulkOverflowSpillsToPeerBitIdentically) {
       if (sub.accepted()) accepted.emplace_back(i, std::move(sub.result));
     }
   }
+  parked.release();
   const NodeCounters counters = a.agent->counters();
   EXPECT_GT(counters.spill_forwarded, 0u) << "the flood must overflow A's bulk lane";
   // Every accepted future resolves to the same bits direct inference gives:
@@ -516,6 +526,7 @@ TEST(ClusterSpill, PrecisionIsPartOfTheSpillDigest) {
 
   engine::SubmitOptions bulk;
   bulk.request_class = engine::RequestClass::kBulk;
+  test_support::ParkedWorkers parked(*a.agent, "bldg-A", queries[0], 1);
   std::vector<std::future<serve::Fix>> accepted;
   std::size_t rejected = 0;
   for (std::size_t round = 0; round < 4; ++round) {
@@ -533,6 +544,7 @@ TEST(ClusterSpill, PrecisionIsPartOfTheSpillDigest) {
   EXPECT_EQ(a.agent->counters().spill_forwarded, 0u)
       << "an int8 shard must not spill to an fp32 peer";
   EXPECT_EQ(b.agent->counters().spill_served, 0u);
+  parked.release();
   for (auto& result : accepted) result.wait();
 }
 
@@ -621,6 +633,7 @@ TEST(ClusterSpill, SilentPeerAfterAProtocolBreachStillResolvesEverySpill) {
 
   const auto queries = test_queries(32);
   ASSERT_FALSE(queries.empty());
+  test_support::ParkedWorkers parked(*a.agent, "bldg-A", queries[0], 1);
   std::vector<std::future<serve::Fix>> accepted;
   std::vector<std::chrono::steady_clock::time_point> deadlines;
   for (std::size_t round = 0; round < 4; ++round) {
@@ -634,6 +647,7 @@ TEST(ClusterSpill, SilentPeerAfterAProtocolBreachStillResolvesEverySpill) {
       }
     }
   }
+  parked.release();
   EXPECT_GT(a.agent->counters().spill_forwarded, 1u)
       << "the flood must spill both into the breach and into the silence";
 
@@ -659,6 +673,48 @@ TEST(ClusterSpill, SilentPeerAfterAProtocolBreachStillResolvesEverySpill) {
   const auto stop_started = std::chrono::steady_clock::now();
   a.agent->stop();
   EXPECT_LT(std::chrono::steady_clock::now() - stop_started, 2s);
+}
+
+// A gateway Listener serves any fleet::Routing, a NodeAgent included. The
+// spilled fix reaches the Listener's handler thread only through the
+// caller's notifier, which forward_spill's channel callback calls after
+// settling: with A's worker parked, nothing else can wake that thread.
+TEST(ClusterSpill, ListenerFrontingANodeAgentAnswersSpilledFixes) {
+  Coordinator coordinator(CoordinatorConfig{});
+  ASSERT_TRUE(coordinator.start());
+  LiveNode a("node-a", coordinator.port(), shard_config(2, 1), localizer_v1());
+  LiveNode b("node-b", coordinator.port(), shard_config(512, 0), localizer_v1());
+  ASSERT_TRUE(wait_until([&] { return sees_alive_peer(*a.agent, "node-b"); }));
+  gateway::Listener listener(*a.agent);
+  ASSERT_TRUE(listener.start());
+  std::optional<gateway::GatewayClient> client =
+      gateway::GatewayClient::connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.has_value());
+  const auto queries = test_queries(3);
+  ASSERT_EQ(queries.size(), 3u);
+
+  test_support::ParkedWorkers parked(*a.agent, "bldg-A", queries[0], 1);
+  // The first bulk scan fills A's one-slot bulk lane; the second overflows
+  // it and spills to B.
+  const std::uint64_t queued =
+      client->send_locate("bldg-A", queries[1], engine::RequestClass::kBulk, 0);
+  const std::uint64_t spilled =
+      client->send_locate("bldg-A", queries[2], engine::RequestClass::kBulk, 0);
+  ASSERT_NE(queued, 0u);
+  ASSERT_NE(spilled, 0u);
+  auto reply = client->recv_fix(1000);
+  ASSERT_TRUE(reply.has_value()) << "the spilled fix must wake the listener";
+  EXPECT_EQ(reply->first, spilled);
+  ASSERT_TRUE(reply->second.ok()) << wire::status_name(reply->second.status);
+  EXPECT_TRUE(reply->second.fix == localizer_v1().locate(queries[2]));
+  EXPECT_EQ(a.agent->counters().spill_forwarded, 1u);
+
+  parked.release();
+  reply = client->recv_fix(1000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->first, queued);
+  ASSERT_TRUE(reply->second.ok()) << wire::status_name(reply->second.status);
+  EXPECT_TRUE(reply->second.fix == localizer_v1().locate(queries[1]));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Engine tests: bounded-queue semantics (deterministic backpressure and
 // batching), the engine equivalence contract (batched output bit-identical
 // to direct locate() under concurrency), session multiplexing, admission
-// control under flood, telemetry, and graceful shutdown.
+// control under flood, telemetry, graceful shutdown, and completion
+// notifiers (SubmitOptions::notify: once per request, after the whole batch
+// settled, on every settle path).
 //
 // The concurrency tests here carry the `concurrency` CTest label and run
 // under -DNOBLE_SANITIZE=thread in CI.
@@ -9,8 +11,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <latch>
+#include <map>
+#include <mutex>
 #include <memory>
 #include <random>
 #include <span>
@@ -643,6 +650,165 @@ TEST(EngineBatching, BacklogStillCoalescesAtTheDefaults) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.batches, 2u);  // the lone first request, then the backlog
   EXPECT_EQ(stats.batch_size.max_recorded(), 7.0);
+}
+
+// ---------------------------------------------------------------------------
+// Completion notifiers.
+// ---------------------------------------------------------------------------
+
+/// Counts notifier calls per tag; when `batch` is filled, each call also
+/// counts the batch futures that were still unsettled at that moment.
+class NotifyProbe {
+ public:
+  std::function<void()> notifier(std::size_t tag) {
+    return [this, tag] {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++calls_[tag];
+      ++total_;
+      for (const std::shared_future<serve::Fix>& result : batch) {
+        if (result.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+          ++unsettled_;
+        }
+      }
+      cv_.notify_all();
+    };
+  }
+  bool wait_total(int total) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5), [&] { return total_ >= total; });
+  }
+  int calls(std::size_t tag) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_[tag];
+  }
+  int total() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_;
+  }
+  int unsettled() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return unsettled_;
+  }
+
+  /// Filled before the worker may settle any of them.
+  std::vector<std::shared_future<serve::Fix>> batch;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<std::size_t, int> calls_;
+  int total_ = 0;
+  int unsettled_ = 0;
+};
+
+TEST(EngineNotify, EachNotifierFiresOnceAfterItsWholeBatchSettled) {
+  const auto queries = query_pool(8);
+  ASSERT_EQ(queries.size(), 8u);
+  auto gate = std::make_shared<GatedBackend::Gate>();
+  EngineConfig cfg;
+  cfg.workers = 1;
+  Engine engine(std::make_unique<GatedBackend>(reference_localizer(), gate), cfg);
+  NotifyProbe probe;
+  Submission first = engine.submit(queries[0]);
+  ASSERT_TRUE(first.accepted());
+  gate->entered.wait();  // the backlog below becomes one batch of seven
+  std::vector<Submission> backlog;
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    SubmitOptions options;
+    options.notify = probe.notifier(i);
+    backlog.push_back(engine.submit(queries[i], options));
+  }
+  for (Submission& s : backlog) {
+    if (s.accepted()) probe.batch.push_back(s.result.share());
+  }
+  gate->release.count_down();
+  ASSERT_EQ(probe.batch.size(), queries.size() - 1);
+  ASSERT_TRUE(probe.wait_total(static_cast<int>(queries.size() - 1)));
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    EXPECT_EQ(probe.calls(i), 1) << "request " << i;
+    EXPECT_TRUE(probe.batch[i - 1].get() == reference_localizer().locate(queries[i]));
+  }
+  EXPECT_EQ(probe.unsettled(), 0) << "a notifier ran before its batch was settled";
+  EXPECT_EQ(engine.stats().batches, 2u);
+}
+
+TEST(EngineNotify, ExpiryAndCloseSessionCallTheNotifier) {
+  const serve::WifiLocalizer wifi = serve::WifiLocalizer::from_model(engine_fixture().model);
+  const auto& imf = imu_engine_fixture();
+  const serve::ImuLocalizer imu = serve::ImuLocalizer::from_model(imf.tracker);
+  // One parking per phase; declared before the engine, so the worker has
+  // left every wait before they go.
+  std::latch parked[3] = {std::latch{1}, std::latch{1}, std::latch{1}};
+  std::latch release[3] = {std::latch{1}, std::latch{1}, std::latch{1}};
+  EngineConfig cfg;
+  cfg.workers = 1;
+  Engine engine(wifi, imu, cfg);
+  // A failed ASSERT must not leave the worker parked for the engine's join.
+  struct ReleaseAll {
+    std::latch* release;
+    ~ReleaseAll() {
+      for (std::size_t phase = 0; phase < 3; ++phase) {
+        if (!release[phase].try_wait()) release[phase].count_down();
+      }
+    }
+  } release_all{release};
+  const auto queries = query_pool(1);
+  ASSERT_FALSE(queries.empty());
+  const serve::ImuSegment segment(imu.segment_dim(), 0.0f);
+  NotifyProbe probe;
+  // Parks the lone worker inside a notifier (never do this outside a test)
+  // so the requests that follow wait queued until release.
+  const auto park = [&](std::size_t phase) {
+    SubmitOptions options;
+    options.notify = [&, phase] {
+      parked[phase].count_down();
+      release[phase].wait();
+    };
+    ASSERT_TRUE(engine.submit(queries[0], options).accepted());
+    parked[phase].wait();
+  };
+  const auto deadline_options = [&](std::size_t tag) {
+    SubmitOptions options;
+    options.notify = probe.notifier(tag);
+    options.expires_in_us(50'000);
+    return options;
+  };
+
+  {  // Expiry in the shared queue.
+    park(0);
+    Submission lapsing = engine.submit(queries[0], deadline_options(0));
+    ASSERT_TRUE(lapsing.accepted());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    release[0].count_down();
+    ASSERT_TRUE(probe.wait_total(1));
+    EXPECT_THROW(lapsing.result.get(), DeadlineExpired);
+  }
+  const auto session = engine.open_session(imf.exp.split.test.paths[0].start);
+  ASSERT_TRUE(session.has_value());
+  {  // Expiry in a session FIFO.
+    park(1);
+    Submission lapsing = engine.track(*session, segment, deadline_options(1));
+    ASSERT_TRUE(lapsing.accepted());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    release[1].count_down();
+    ASSERT_TRUE(probe.wait_total(2));
+    EXPECT_THROW(lapsing.result.get(), DeadlineExpired);
+  }
+  {  // close_session fails the pending updates and notifies on its caller.
+    park(2);
+    std::vector<Submission> pending;
+    for (std::size_t tag = 2; tag < 4; ++tag) {
+      SubmitOptions options;
+      options.notify = probe.notifier(tag);
+      pending.push_back(engine.track(*session, segment, options));
+      ASSERT_TRUE(pending.back().accepted());
+    }
+    EXPECT_TRUE(engine.close_session(*session));
+    EXPECT_EQ(probe.total(), 4) << "close_session notifies before it returns";
+    release[2].count_down();
+    for (Submission& s : pending) EXPECT_THROW(s.result.get(), std::runtime_error);
+  }
+  for (std::size_t tag = 0; tag < 4; ++tag) EXPECT_EQ(probe.calls(tag), 1) << tag;
 }
 
 TEST(EngineSessions, RegistryRejectsBadHandlesAndDimensions) {

@@ -2,9 +2,11 @@
 // prefixes, unknown message types, version mismatches — each must fail the
 // connection cleanly, never crash or leak), listener lifecycle over real
 // loopback sockets, per-connection backpressure, session sweeping on
-// disconnect, wire-vs-direct fix bit-identity, and scrape coherence (the
+// disconnect, wire-vs-direct fix bit-identity, scrape coherence (the
 // registry counts every request a client sent, and the stage clocks
-// telescope to the end-to-end latency).
+// telescope to the end-to-end latency), and the settle paths that answer
+// over the wire with no further socket traffic (queue expiry, session-FIFO
+// expiry, close_session) — each wakes the handler through its notifier.
 //
 // The suite carries the `concurrency` CTest label and runs under
 // -DNOBLE_SANITIZE=thread in CI: the listener's handler threads, the
@@ -36,6 +38,7 @@
 #include "gateway/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parked_workers.h"
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
 
@@ -382,10 +385,12 @@ const serve::ImuLocalizer& imu_localizer() {
 
 /// One-shard router + started listener on an ephemeral loopback port.
 struct LiveGateway {
+  static constexpr std::size_t kWorkers = 2;  ///< of the shard's one engine
+
   explicit LiveGateway(GatewayConfig config = {}) : listener(router, std::move(config)) {
     fleet::ShardConfig shard;
     shard.key = "bldg-A";
-    shard.engine.workers = 2;
+    shard.engine.workers = kWorkers;
     shard.engine.max_batch = 8;
     router.add_shard(shard, wifi_localizer(), imu_localizer());
     EXPECT_TRUE(listener.start());
@@ -623,6 +628,126 @@ TEST(GatewayListener, DroppedConnectionSweepsItsSessions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(gw.listener.counters().sessions_closed, 2u);
+}
+
+// --- settle paths answered with no further socket traffic --------------------
+//
+// Each case parks the engine's workers, leaves a request pending on the
+// connection and sends nothing more. Whatever settles the request must wake
+// the handler through the connection's notifier: a missed notify is a hang
+// here, so every wait is a generous 1 s — the point is "answered", not
+// "fast".
+
+/// True once the fleet queue holds at least `depth` entries (within 5 s).
+bool wait_for_queue_depth(const fleet::Router& router, std::size_t depth) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (router.stats().total.queue_depth < depth) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+serve::ImuSegment first_segment(const data::ImuPath& path) {
+  const auto dim = static_cast<std::ptrdiff_t>(gateway_fixture().tracker.segment_dim());
+  return serve::ImuSegment(path.features.begin(), path.features.begin() + dim);
+}
+
+constexpr std::uint64_t kShortDeadlineUs = 100'000;
+constexpr auto kPastShortDeadline = std::chrono::milliseconds(200);
+constexpr int kAnswerTimeoutMs = 1000;
+
+TEST(GatewaySettle, BulkLocateExpiringInTheQueueIsAnswered) {
+  LiveGateway gw;
+  std::optional<GatewayClient> client =
+      GatewayClient::connect("127.0.0.1", gw.listener.port());
+  ASSERT_TRUE(client.has_value());
+  const auto queries = test_queries(2);
+  ASSERT_EQ(queries.size(), 2u);
+  test_support::ParkedWorkers parked(gw.router, "bldg-A", queries[0],
+                                     LiveGateway::kWorkers);
+  const std::uint64_t id = client->send_locate("bldg-A", queries[1],
+                                               engine::RequestClass::kBulk,
+                                               kShortDeadlineUs);
+  ASSERT_NE(id, 0u);
+  ASSERT_TRUE(wait_for_queue_depth(gw.router, 1));
+  std::this_thread::sleep_for(kPastShortDeadline);
+  parked.release();  // a worker pops the lapsed request and expires it
+  const auto reply = client->recv_fix(kAnswerTimeoutMs);
+  ASSERT_TRUE(reply.has_value()) << "queue expiry must notify the listener";
+  EXPECT_EQ(reply->first, id);
+  EXPECT_EQ(reply->second.status, wire::Status::kDeadlineExpired);
+}
+
+TEST(GatewaySettle, TrackUpdateExpiringInItsSessionFifoIsAnswered) {
+  LiveGateway gw;
+  std::optional<GatewayClient> client =
+      GatewayClient::connect("127.0.0.1", gw.listener.port());
+  ASSERT_TRUE(client.has_value());
+  const auto& path = gateway_fixture().imu_exp.split.test.paths.front();
+  const serve::ImuSegment segment = first_segment(path);
+  const std::optional<std::uint64_t> session = client->open_session("bldg-A", path.start);
+  ASSERT_TRUE(session.has_value());
+  const auto queries = test_queries(1);
+  ASSERT_FALSE(queries.empty());
+  test_support::ParkedWorkers parked(gw.router, "bldg-A", queries[0],
+                                     LiveGateway::kWorkers);
+  const std::uint64_t id = client->send_track(
+      *session, segment, engine::RequestClass::kInteractive, kShortDeadlineUs);
+  ASSERT_NE(id, 0u);
+  ASSERT_TRUE(wait_for_queue_depth(gw.router, 1));  // the session's token
+  std::this_thread::sleep_for(kPastShortDeadline);
+  parked.release();  // a worker drains the session and expires the update
+  const auto reply = client->recv_fix(kAnswerTimeoutMs);
+  ASSERT_TRUE(reply.has_value()) << "session-FIFO expiry must notify the listener";
+  EXPECT_EQ(reply->first, id);
+  EXPECT_EQ(reply->second.status, wire::Status::kDeadlineExpired);
+}
+
+TEST(GatewaySettle, CloseSessionAnswersEveryPendingUpdate) {
+  LiveGateway gw;
+  std::optional<GatewayClient> client =
+      GatewayClient::connect("127.0.0.1", gw.listener.port());
+  ASSERT_TRUE(client.has_value());
+  const auto& path = gateway_fixture().imu_exp.split.test.paths.front();
+  const serve::ImuSegment segment = first_segment(path);
+  const std::optional<std::uint64_t> session = client->open_session("bldg-A", path.start);
+  ASSERT_TRUE(session.has_value());
+  const auto queries = test_queries(1);
+  ASSERT_FALSE(queries.empty());
+  test_support::ParkedWorkers parked(gw.router, "bldg-A", queries[0],
+                                     LiveGateway::kWorkers);
+  std::set<std::uint64_t> pending;
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t id =
+        client->send_track(*session, segment, engine::RequestClass::kInteractive, 0);
+    ASSERT_NE(id, 0u);
+    pending.insert(id);
+  }
+  ASSERT_TRUE(wait_for_queue_depth(gw.router, 1));  // updates wait in the FIFO
+  wire::Frame close;
+  close.type = wire::MsgType::kCloseSession;
+  close.request_id = 1000;
+  close.body = wire::encode_close_session_body(*session);
+  ASSERT_TRUE(client->socket().send_frame(close));
+  bool closed = false;
+  while (!closed || !pending.empty()) {
+    std::optional<wire::Frame> frame = client->socket().recv_frame(kAnswerTimeoutMs);
+    ASSERT_TRUE(frame.has_value()) << pending.size() << " pending updates unanswered";
+    if (frame->type == wire::MsgType::kSessionClosed) {
+      wire::Status status = wire::Status::kStopped;
+      ASSERT_TRUE(wire::decode_status_body(frame->body, status));
+      EXPECT_EQ(status, wire::Status::kOk);
+      closed = true;
+      continue;
+    }
+    ASSERT_EQ(frame->type, wire::MsgType::kFix);
+    EXPECT_EQ(pending.erase(frame->request_id), 1u) << "id " << frame->request_id;
+    wire::Status status = wire::Status::kOk;
+    serve::Fix fix;
+    ASSERT_TRUE(wire::decode_fix_body(frame->body, status, fix));
+    EXPECT_EQ(status, wire::Status::kStopped) << "a closed session's update fails";
+  }
 }
 
 TEST(GatewayListener, StatsTextExposesGatewayAndFleetTelemetry) {

@@ -1,16 +1,20 @@
 // Transport tests: FrameSocket's whole-call receive timeout and its
-// send/receive flag sharing, and net::Channel — the pipelined client —
-// against adversarial loopback peers (silent, byte-dribbling, out-of-order,
-// stray ids, kError, close) and its own destruction. Every Channel case
+// send/receive flag sharing, net::Channel — the pipelined client — against
+// adversarial loopback peers (silent, byte-dribbling, out-of-order, stray
+// ids, kError, close) and its own destruction, and the FrameServer's
+// completion-driven handler loop (a settled hand-off wakes it through the
+// connection's Waker; nothing re-polls on a timer). Every Channel case
 // checks the contract the serving path relies on: each accepted call's
 // completion runs exactly once, and a call with a deadline resolves within
 // deadline + one sweep tick + scheduling slack.
 //
 // The suite carries the `concurrency` CTest label: FrameServer handler
-// threads, channel readers, dribbling peers and callers interleave here.
+// threads, channel readers, dribbling peers, settler threads and callers
+// interleave here.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -20,6 +24,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -457,6 +463,126 @@ TEST(Channel, DestructionLosesEveryPendingCall) {
     EXPECT_EQ(entry.runs, 1) << "call " << i;
     EXPECT_EQ(entry.outcome, Outcome::kLost) << "call " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Waker: completion-driven handler threads.
+// ---------------------------------------------------------------------------
+
+/// Answers each request from a future that a settler thread fulfils
+/// `delay` later and then announces through the connection's notifier —
+/// the shape of an engine hand-off. Counts on_service passes.
+class DeferredReplier final : public FrameHandler {
+ public:
+  explicit DeferredReplier(std::chrono::milliseconds delay) : delay_(delay) {
+    EXPECT_TRUE(server_.start());
+  }
+  ~DeferredReplier() override {
+    server_.stop();
+    for (std::thread& settler : settlers_) settler.join();
+  }
+
+  std::uint16_t port() const { return server_.port(); }
+  int services() const { return services_.load(); }
+
+  const MessageSet& message_set() const override { return test_set(); }
+  bool on_frame(ServerConn& conn, Frame frame, std::uint64_t) override {
+    auto promise = std::make_shared<std::promise<Frame>>();
+    futures(conn).push_back(promise->get_future());
+    settlers_.emplace_back(
+        [promise, reply = reply_to(frame), notify = conn.notifier(), delay = delay_] {
+          std::this_thread::sleep_for(delay);
+          promise->set_value(reply);
+          notify();
+        });
+    return true;
+  }
+  bool on_service(ServerConn& conn) override {
+    services_.fetch_add(1);
+    std::list<std::future<Frame>>& pending = futures(conn);
+    for (auto it = pending.begin(); it != pending.end();) {
+      if (it->wait_for(0s) != std::future_status::ready) {
+        ++it;
+        continue;
+      }
+      conn.send(it->get());
+      it = pending.erase(it);
+    }
+    return !pending.empty();
+  }
+
+ private:
+  static std::list<std::future<Frame>>& futures(ServerConn& conn) {
+    if (!conn.user) conn.user = std::make_shared<std::list<std::future<Frame>>>();
+    return *static_cast<std::list<std::future<Frame>>*>(conn.user.get());
+  }
+
+  std::chrono::milliseconds delay_;
+  std::atomic<int> services_{0};
+  std::vector<std::thread> settlers_;  ///< handler thread only, until stop()
+  FrameServer server_{*this};
+};
+
+TEST(Waker, SettledFutureWakesItsHandlerWithoutRePolling) {
+  DeferredReplier replier(50ms);
+  std::optional<FrameSocket> sock =
+      FrameSocket::connect("127.0.0.1", replier.port(), test_set());
+  ASSERT_TRUE(sock.has_value());
+  ASSERT_TRUE(sock->send_frame(request("deferred")));
+  const std::optional<Frame> reply = sock->recv_frame(1000);
+  ASSERT_TRUE(reply.has_value()) << "the settler's notify must wake the handler";
+  EXPECT_EQ(reply->type, kReply);
+  EXPECT_EQ(reply->body, "deferred");
+  // Adoption, the request and the settle wake the loop once each. A timed
+  // re-poll of the pending future would have run it hundreds of times in
+  // the 50 ms wait (250 passes at 200 us).
+  EXPECT_LE(replier.services(), 6);
+}
+
+TEST(Waker, NotifyAfterServerStopAndDestructionIsHarmless) {
+  std::shared_ptr<Waker> waker;
+  std::function<void()> notify;
+  {
+    FakePeer peer([&](ServerConn& conn, Frame frame) {
+      waker = conn.waker();
+      notify = conn.notifier();
+      conn.send(reply_to(frame));
+      return true;
+    });
+    std::optional<FrameSocket> sock =
+        FrameSocket::connect("127.0.0.1", peer.port(), test_set());
+    ASSERT_TRUE(sock.has_value());
+    ASSERT_TRUE(sock->send_frame(request("hand-off")));
+    ASSERT_TRUE(sock->recv_frame(1000).has_value());
+  }  // stopped and destroyed; the join orders the captures before the reads
+  ASSERT_NE(waker, nullptr);
+  ASSERT_TRUE(notify);
+  EXPECT_GE(::fcntl(waker->fd(), F_GETFD), 0)
+      << "a notifier keeps its waker's fd open past the server";
+  std::thread late([&] {
+    for (int i = 0; i < 100; ++i) notify();
+  });
+  waker->notify();
+  late.join();
+  EXPECT_EQ(waker->reset(), 1u);
+}
+
+TEST(Waker, ABurstOfNotifiesCostsOneWakeWrite) {
+  Waker waker;
+  ASSERT_GE(waker.fd(), 0);
+  EXPECT_EQ(waker.reset(), 0u) << "no notify, no write";
+  // 1000 notifies from four threads before the handler side runs.
+  std::vector<std::thread> notifiers;
+  for (int t = 0; t < 4; ++t) {
+    notifiers.emplace_back([&] {
+      for (int i = 0; i < 250; ++i) waker.notify();
+    });
+  }
+  for (std::thread& notifier : notifiers) notifier.join();
+  EXPECT_EQ(waker.reset(), 1u) << "only the false -> true flip writes";
+  waker.notify();
+  EXPECT_EQ(waker.reset(), 1u) << "reset re-arms the waker";
+  EXPECT_EQ(waker.reset(), 0u);
 }
 
 }  // namespace
