@@ -114,7 +114,6 @@ int main() {
     shard.key = "bldg-A";
     shard.engine.workers = 1;
     shard.engine.max_batch = 8;
-    shard.engine.max_wait_us = 100;
     shard.engine.queue_cap = queue_cap;
     shard.engine.bulk_cap = bulk_cap;
     router.add_shard(shard, wifi_v1);

@@ -77,7 +77,7 @@ engine::Submission NodeAgent::submit(std::string_view shard_key,
   // Cross-node spill is a bulk-only escape hatch: interactive latency can't
   // afford the extra hop, and every non-capacity verdict is final.
   if (local.status != engine::SubmitStatus::kQueueFull ||
-      options.request_class != engine::RequestClass::kBulk || !config_.spill_enabled) {
+      options.request_class != engine::RequestClass::kBulk) {
     return local;
   }
   const std::optional<std::uint64_t> digest = local_digest(shard_key);

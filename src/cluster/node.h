@@ -64,9 +64,6 @@ struct NodeConfig {
   /// Heartbeat cadence. Each beat also refreshes the peer table from the
   /// coordinator's kMembership reply.
   std::uint64_t heartbeat_ms = 200;
-  /// Master switch for cross-node bulk spill (off = plain local router
-  /// with heartbeats, useful for canary-only members).
-  bool spill_enabled = true;
 };
 
 /// Node-side cluster counters (monotonic; exposed via splice_metrics).

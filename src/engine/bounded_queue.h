@@ -26,10 +26,9 @@
 //    latency, not deadline goodput.
 //
 // Consumers block in `pop_batch`, which takes up to `max_items` of the
-// entries already queued. With `max_wait` = 0 (the engine's default) that
-// is all it does: consumption is work-conserving, and batches form only
-// from backlog that piled up while consumers were busy. A positive
-// `max_wait` holds an under-full batch open that long for stragglers.
+// entries already queued in one priority sweep and returns. Consumption is
+// work-conserving: there is no batching window, so batches form only from
+// backlog that piled up while consumers were busy.
 #ifndef NOBLE_ENGINE_BOUNDED_QUEUE_H_
 #define NOBLE_ENGINE_BOUNDED_QUEUE_H_
 
@@ -124,54 +123,33 @@ class BoundedQueue {
   }
 
   /// Blocks until at least one entry is available (or the queue is closed),
-  /// then sweeps up to `max_items` live entries off the queue. Interactive
-  /// entries drain first on every sweep; bulk fills the remainder of the
-  /// batch. With `max_wait` = 0 the call returns after that first sweep, so
-  /// a lone entry is served at once and larger batches come only from
-  /// backlog. A positive `max_wait` keeps an under-full batch open at most
-  /// that long past the first take, sweeping again as entries arrive.
+  /// then takes up to `max_items` live entries off the queue in one priority
+  /// sweep: interactive entries first, bulk fills the remainder of the
+  /// batch. A lone entry is therefore served at once, and larger batches
+  /// come only from backlog.
   ///
   /// When `expired` is non-null, entries whose deadline has passed are
   /// appended there instead of the batch (they do not count against
-  /// `max_items`); with only expired entries on hand the call returns
-  /// immediately so the caller can fail them without sitting out the
-  /// window. When `expired` is null, deadlines are ignored.
+  /// `max_items`), so a sweep may hand back only expired entries. When
+  /// `expired` is null, deadlines are ignored.
   ///
   /// Returns an empty batch with nothing appended to `expired` only when
   /// the queue is closed and fully drained — the consumer's exit signal.
-  std::vector<T> pop_batch(std::size_t max_items, std::chrono::microseconds max_wait,
-                           std::vector<T>* expired = nullptr) {
+  std::vector<T> pop_batch(std::size_t max_items, std::vector<T>* expired = nullptr) {
     NOBLE_EXPECTS(max_items >= 1);
     std::vector<T> batch;
-    const std::size_t expired_before = expired == nullptr ? 0 : expired->size();
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return size_locked() > 0 || closed_; });
-    if (size_locked() == 0) return batch;  // closed and drained
-    const auto window = Clock::now() + max_wait;
-    for (;;) {
-      // Priority sweep: interactive first, bulk fills what is left.
-      const Clock::time_point now = Clock::now();
-      for (std::deque<Entry>& lane : lanes_) {
-        while (!lane.empty() && batch.size() < max_items) {
-          Entry entry = std::move(lane.front());
-          lane.pop_front();
-          if (expired != nullptr && entry.deadline.has_value() &&
-              *entry.deadline <= now) {
-            expired->push_back(std::move(entry.item));
-          } else {
-            batch.push_back(std::move(entry.item));
-          }
+    const Clock::time_point now = Clock::now();
+    for (std::deque<Entry>& lane : lanes_) {
+      while (!lane.empty() && batch.size() < max_items) {
+        Entry entry = std::move(lane.front());
+        lane.pop_front();
+        if (expired != nullptr && entry.deadline.has_value() && *entry.deadline <= now) {
+          expired->push_back(std::move(entry.item));
+        } else {
+          batch.push_back(std::move(entry.item));
         }
-      }
-      if (batch.size() >= max_items || closed_) break;
-      // Everything taken so far expired: hand the corpses back now instead
-      // of holding the window open over them.
-      if (batch.empty() && expired != nullptr && expired->size() > expired_before) {
-        break;
-      }
-      // Wait out the rest of the batching window for stragglers.
-      if (!cv_.wait_until(lock, window, [&] { return size_locked() > 0 || closed_; })) {
-        break;  // window expired; serve what we have
       }
     }
     return batch;

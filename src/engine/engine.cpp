@@ -8,14 +8,15 @@ namespace noble::engine {
 
 namespace {
 
-/// Calls the SubmitOptions::notify of every request in `settled`, after all
-/// of them are settled: a waiting edge wakes once per batch, not once per
-/// set_value.
-template <typename Settled>
-void notify_settled(Settled& settled) {
-  for (auto& request : settled) {
-    if (request.notify) request.notify();
-  }
+/// Steady-clock nanoseconds, the unit obs::Trace marks use.
+std::uint64_t to_ns(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch()).count());
+}
+
+double micros_between(std::chrono::steady_clock::time_point from,
+                      std::chrono::steady_clock::time_point to) {
+  return std::max(0.0, std::chrono::duration<double, std::micro>(to - from).count());
 }
 
 }  // namespace
@@ -62,11 +63,6 @@ void Engine::shutdown() {
   }
 }
 
-void Engine::expire_promise(std::promise<serve::Fix>& promise, RequestClass cls) {
-  class_expired_[request_class_index(cls)].inc();
-  promise.set_exception(std::make_exception_ptr(DeadlineExpired{}));
-}
-
 Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& options) {
   const std::size_t cls = request_class_index(options.request_class);
   if (rssi.size() != num_aps()) {
@@ -80,9 +76,9 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
     return {SubmitStatus::kExpired, {}};
   }
   // The only copy, on admission.
-  WifiRequest request{rssi, {}, submitted_at, options.request_class, options.trace,
-                      options.notify};
-  std::future<serve::Fix> result = request.promise.get_future();
+  WifiRequest request{{{}, submitted_at, options.request_class, options.trace, options.notify},
+                      rssi};
+  std::future<serve::Fix> result = request.envelope.promise.get_future();
   // Counted before the push: once the queue has the request a worker may
   // complete it immediately, and stats() must never observe
   // completed > submitted.
@@ -144,9 +140,11 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
     class_rejected_[cls].inc();
     return {SubmitStatus::kQueueFull, {}};
   }
-  PendingUpdate update{std::move(segment), {}, submitted_at, options.request_class,
-                       options.deadline, options.trace, options.notify};
-  std::future<serve::Fix> result = update.promise.get_future();
+  PendingUpdate update{
+      {{}, submitted_at, options.request_class, options.trace, options.notify},
+      std::move(segment),
+      options.deadline};
+  std::future<serve::Fix> result = update.envelope.promise.get_future();
   // Same ordering as submit(): count before the work can become visible to
   // a worker, roll back on rejection. Admission for a session update means
   // entering its FIFO (the session mutex is the handoff edge).
@@ -181,17 +179,16 @@ bool Engine::close_session(SessionId session) {
     state = std::move(it->second);
     sessions_.erase(it);
   }
-  std::deque<PendingUpdate> dropped;
+  std::vector<Envelope> dropped;
   {
     std::lock_guard<std::mutex> lock(state->mu);
     state->closed = true;
-    dropped.swap(state->pending);
+    for (PendingUpdate& pending : state->pending) {
+      dropped.push_back(std::move(pending.envelope));
+    }
+    state->pending.clear();
   }
-  for (PendingUpdate& pending : dropped) {
-    pending.promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("noble::engine: session closed with pending updates")));
-  }
-  notify_settled(dropped);
+  fail(dropped, Failure::kSessionClosed);
   return true;
 }
 
@@ -228,7 +225,6 @@ EngineStats Engine::stats() const {
   }
   snapshot.set_queue_depths(queue_.depth(RequestClass::kInteractive),
                             queue_.depth(RequestClass::kBulk));
-  snapshot.batch_wait_us = config_.max_wait_us;
   return snapshot;
 }
 
@@ -255,7 +251,6 @@ void EngineStats::merge(const EngineStats& other) {
   batches += other.batches;
   imu_batches += other.imu_batches;
   queue_depth += other.queue_depth;
-  batch_wait_us = std::max(batch_wait_us, other.batch_wait_us);
   batch_size.merge(other.batch_size);
   imu_batch_size.merge(other.imu_batch_size);
   queue_wait_us.merge(other.queue_wait_us);
@@ -269,114 +264,104 @@ void Engine::worker_loop(std::size_t worker_index) {
   const WifiBackend& replica = *replicas_[worker_index];
   for (;;) {
     std::vector<Request> expired;
-    std::vector<Request> batch = queue_.pop_batch(
-        config_.max_batch, std::chrono::microseconds(config_.max_wait_us), &expired);
+    std::vector<Request> batch = queue_.pop_batch(config_.max_batch, &expired);
     if (batch.empty() && expired.empty()) return;  // closed and fully drained
-    // One clock read marks kDequeued for every trace in this batch.
-    const std::uint64_t dequeued_ns = obs::Trace::now_ns();
-    // Deadline-expired takes never reach a replica: fail their futures and
-    // move on — the batch slots went to live requests instead. Their
-    // notifiers fire now, before the live batch computes.
-    std::vector<WifiRequest> lapsed;
+    const Clock::time_point dequeued = Clock::now();
+    // Deadline-expired takes never reach a replica: fail them now, before
+    // the live batch computes — the batch slots went to live requests.
+    std::vector<Envelope> lapsed;
     for (Request& request : expired) {
       if (auto* query = std::get_if<WifiRequest>(&request)) {
-        expire_promise(query->promise, query->cls);
-        lapsed.push_back(std::move(*query));
+        lapsed.push_back(std::move(query->envelope));
       } else {
         // Tokens are pushed without deadlines; treat one here as live.
         batch.push_back(std::move(request));
       }
     }
-    notify_settled(lapsed);
+    fail(lapsed, Failure::kExpired);
     // Partition the takes: independent Wi-Fi queries coalesce into one
     // network pass; session tokens are drained afterwards in batched IMU
-    // passes (their ordering lives in the per-session FIFO, not the shared
+    // rounds (their ordering lives in the per-session FIFO, not the shared
     // queue).
-    std::vector<WifiRequest> wifi;
+    std::vector<Envelope> wifi;
+    std::vector<serve::RssiVector> queries;
     std::vector<SessionId> tokens;
+    wifi.reserve(batch.size());
+    queries.reserve(batch.size());
     for (Request& request : batch) {
       if (auto* query = std::get_if<WifiRequest>(&request)) {
-        wifi.push_back(std::move(*query));
+        wifi.push_back(std::move(query->envelope));
+        queries.push_back(std::move(query->rssi));
       } else {
         tokens.push_back(std::get<SessionWork>(request).id);
       }
     }
-    if (!wifi.empty()) run_wifi_batch(replica, std::move(wifi), dequeued_ns);
-    if (!tokens.empty()) drain_sessions(tokens, dequeued_ns);
+    if (!wifi.empty()) {
+      const Clock::time_point assembled = Clock::now();
+      const std::vector<serve::Fix> fixes = replica.locate_batch(queries);
+      settle(wifi, fixes, batch_hist_, {dequeued, assembled, Clock::now()});
+    }
+    if (!tokens.empty()) drain_sessions(tokens);
   }
 }
 
-void Engine::run_wifi_batch(const WifiBackend& replica,
-                            std::vector<WifiRequest> batch,
-                            std::uint64_t dequeued_ns) {
-  std::vector<serve::RssiVector> queries;
-  queries.reserve(batch.size());
-  for (WifiRequest& request : batch) queries.push_back(std::move(request.rssi));
-  bool any_traced = false;
-  // Measured queue wait per request (admit -> this pop) — always on, one
-  // subtraction each: the engine-owned counterpart of the obs kQueueWait
-  // stage.
-  std::vector<double> waits_us;
-  waits_us.reserve(batch.size());
-  for (const WifiRequest& request : batch) {
-    const auto submitted_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            request.submitted_at.time_since_epoch())
-            .count());
-    const double wait_us =
-        dequeued_ns > submitted_ns ? (dequeued_ns - submitted_ns) / 1000.0 : 0.0;
-    waits_us.push_back(wait_us);
-    if (request.trace == nullptr) continue;
-    any_traced = true;
-    request.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
-  }
-  const std::uint64_t assembled_ns = obs::Trace::now_ns();
-  if (any_traced) {
-    for (const WifiRequest& request : batch) {
-      if (request.trace != nullptr) {
-        request.trace->stamp(obs::Mark::kAssembled, assembled_ns);
-      }
-    }
-  }
-  const std::vector<serve::Fix> fixes = replica.locate_batch(queries);
-  const Clock::time_point done = Clock::now();  // one read for the batch
-  if (any_traced) {
-    // Stamp before set_value below: the promise hands the trace to whoever
-    // awaits the future, so every engine mark must land first.
-    const auto done_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(done.time_since_epoch())
-            .count());
-    for (const WifiRequest& request : batch) {
-      if (request.trace != nullptr) {
-        request.trace->stamp(obs::Mark::kComputed, done_ns);
-      }
-    }
-  }
+void Engine::settle(std::vector<Envelope>& round, const std::vector<serve::Fix>& fixes,
+                    Histogram& sizes, const RoundTimes& times) {
   {
+    // One stats lock per round, not per request — part of the per-request
+    // overhead batching exists to amortize.
     std::lock_guard<std::mutex> lock(stats_mu_);
-    batch_hist_.record(static_cast<double>(batch.size()));
-    assembly_hist_.record(
-        assembled_ns > dequeued_ns ? (assembled_ns - dequeued_ns) / 1000.0 : 0.0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      queue_wait_hist_.record(waits_us[i]);
-      class_latency_[request_class_index(batch[i].cls)].record(
-          std::chrono::duration<double, std::micro>(done - batch[i].submitted_at)
-              .count());
+    sizes.record(static_cast<double>(round.size()));
+    assembly_hist_.record(micros_between(times.dequeued, times.assembled));
+    for (const Envelope& request : round) {
+      queue_wait_hist_.record(micros_between(request.submitted_at, times.dequeued));
+      class_latency_[request_class_index(request.cls)].record(
+          micros_between(request.submitted_at, times.done));
     }
   }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(fixes[i]);
-    if (batch[i].trace != nullptr && !batch[i].trace->external_respond) {
+  const std::uint64_t dequeued_ns = to_ns(times.dequeued);
+  const std::uint64_t assembled_ns = to_ns(times.assembled);
+  const std::uint64_t done_ns = to_ns(times.done);
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    Envelope& request = round[i];
+    obs::Trace* trace = request.trace.get();
+    // Every engine mark lands before set_value: the promise hands the trace
+    // to whoever awaits the future.
+    if (trace != nullptr) {
+      trace->stamp(obs::Mark::kDequeued, dequeued_ns);
+      trace->stamp(obs::Mark::kAssembled, assembled_ns);
+      trace->stamp(obs::Mark::kComputed, done_ns);
+    }
+    request.promise.set_value(fixes[i]);
+    if (trace != nullptr && !trace->external_respond) {
       // In-process serving: fulfilling the future IS the response write.
-      batch[i].trace->stamp(obs::Mark::kResponded);
-      obs::Tracer::global().finish(*batch[i].trace);
+      trace->stamp(obs::Mark::kResponded);
+      obs::Tracer::global().finish(*trace);
     }
   }
-  notify_settled(batch);
+  // Notifiers run after the whole round settled: a waiting edge wakes once
+  // per round, not once per set_value.
+  for (Envelope& request : round) {
+    if (request.notify) request.notify();
+  }
 }
 
-void Engine::drain_sessions(const std::vector<SessionId>& ids,
-                            std::uint64_t dequeued_ns) {
+void Engine::fail(std::vector<Envelope>& failed, Failure why) {
+  for (Envelope& request : failed) {
+    if (why == Failure::kExpired) {
+      class_expired_[request_class_index(request.cls)].inc();
+      request.promise.set_exception(std::make_exception_ptr(DeadlineExpired{}));
+    } else {
+      request.promise.set_exception(std::make_exception_ptr(
+          std::runtime_error("noble::engine: session closed with pending updates")));
+    }
+  }
+  for (Envelope& request : failed) {
+    if (request.notify) request.notify();
+  }
+}
+
+void Engine::drain_sessions(const std::vector<SessionId>& ids) {
   // shared_ptr copies keep every state alive across the drain even if the
   // session is closed mid-flight (close_session only clears pending and
   // unregisters; it never touches the TrackingSession itself).
@@ -404,15 +389,17 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
   // submission enqueues a fresh token (possibly for another worker; this
   // one no longer touches it).
   std::vector<char> active(tracks.size(), 1);
-  std::vector<PendingUpdate> updates;
-  std::vector<PendingUpdate> lapsed;
+  std::vector<Envelope> round;
+  std::vector<Envelope> lapsed;
+  std::vector<serve::ImuSegment> taken;
   std::vector<serve::TrackingSession*> sessions;
   std::vector<const serve::ImuSegment*> segments;
   for (;;) {
     // One round: at most one live update per session, FIFO within each
     // track, the whole round served by a single batched pass.
-    updates.clear();
+    round.clear();
     lapsed.clear();
+    taken.clear();
     sessions.clear();
     segments.clear();
     const Clock::time_point now = Clock::now();
@@ -426,14 +413,13 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         state.pending.pop_front();
         if (update.deadline.has_value() && *update.deadline <= now) {
           // Expired before its turn: never applied to the track, so later
-          // updates see the session state without it. Its trace is dropped,
-          // not finished (stage latency describes served requests), and its
-          // successor gets this round's slot.
-          expire_promise(update.promise, update.cls);
-          lapsed.push_back(std::move(update));
+          // updates see the session state without it, and its successor
+          // gets this round's slot.
+          lapsed.push_back(std::move(update.envelope));
           continue;
         }
-        updates.push_back(std::move(update));
+        round.push_back(std::move(update.envelope));
+        taken.push_back(std::move(update.segment));
         sessions.push_back(&state.session);
         took = true;
         break;
@@ -443,64 +429,16 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         active[t] = 0;
       }
     }
-    notify_settled(lapsed);  // outside every session lock
-    if (updates.empty()) break;
-    const std::size_t n = updates.size();
-    // Segment pointers only after the round's updates stopped moving.
-    segments.reserve(n);
-    for (const PendingUpdate& update : updates) segments.push_back(&update.segment);
-    bool any_traced = false;
-    for (const PendingUpdate& update : updates) {
-      if (update.trace == nullptr) continue;
-      any_traced = true;
-      update.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
-    }
-    const std::uint64_t assembled_ns = obs::Trace::now_ns();
-    if (any_traced) {
-      for (const PendingUpdate& update : updates) {
-        if (update.trace != nullptr) {
-          update.trace->stamp(obs::Mark::kAssembled, assembled_ns);
-        }
-      }
-    }
+    fail(lapsed, Failure::kExpired);  // outside every session lock
+    if (round.empty()) break;
+    // Each round is its own dequeue, read once its pops are done: no update
+    // it takes was admitted after this instant, so queue wait ends here and
+    // assembly time starts here, exactly as for a Wi-Fi batch.
+    const Clock::time_point dequeued = Clock::now();
+    for (const serve::ImuSegment& segment : taken) segments.push_back(&segment);
+    const Clock::time_point assembled = Clock::now();
     const std::vector<serve::Fix> fixes = imu_->update_sessions(sessions, segments);
-    const Clock::time_point done = Clock::now();  // one read for the round
-    if (any_traced) {
-      const auto done_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              done.time_since_epoch())
-              .count());
-      for (const PendingUpdate& update : updates) {
-        if (update.trace != nullptr) {
-          update.trace->stamp(obs::Mark::kComputed, done_ns);
-        }
-      }
-    }
-    {
-      // One stats lock and one clock read per round, not per update — part
-      // of the per-update overhead coalescing exists to amortize.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      imu_batch_hist_.record(static_cast<double>(n));
-      assembly_hist_.record(
-          assembled_ns > dequeued_ns ? (assembled_ns - dequeued_ns) / 1000.0 : 0.0);
-      for (const PendingUpdate& update : updates) {
-        const double wait_us = std::max(
-            0.0, std::chrono::duration<double, std::micro>(now - update.submitted_at)
-                     .count());
-        queue_wait_hist_.record(wait_us);
-        class_latency_[request_class_index(update.cls)].record(
-            std::chrono::duration<double, std::micro>(done - update.submitted_at)
-                .count());
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      updates[i].promise.set_value(fixes[i]);
-      if (updates[i].trace != nullptr && !updates[i].trace->external_respond) {
-        updates[i].trace->stamp(obs::Mark::kResponded);
-        obs::Tracer::global().finish(*updates[i].trace);
-      }
-    }
-    notify_settled(updates);
+    settle(round, fixes, imu_batch_hist_, {dequeued, assembled, Clock::now()});
   }
 }
 

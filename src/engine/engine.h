@@ -31,7 +31,7 @@
 // Class and deadline decide *when and whether* a scan runs — never its
 // result: any request that is served is bit-identical to direct inference.
 //
-// Batching is work-conserving: by default (max_wait_us = 0) a worker
+// Batching is work-conserving: there is no batching window. A worker
 // serves whatever is queued the moment it wakes, so a lone request never
 // waits for company, while backlog that piles up behind busy workers is
 // taken up to max_batch at a time — batch while busy, never wait while idle.
@@ -39,7 +39,14 @@
 // A session registry multiplexes many concurrent IMU TrackingSessions
 // behind the same worker pool: per-session FIFOs keep each track's updates
 // ordered while different tracks proceed in parallel, and the pending
-// updates of every session one pop covers are served in batched IMU passes.
+// updates of every session one pop covers are served in batched IMU rounds.
+//
+// Every request has one lifecycle. Wi-Fi scans and IMU updates carry the
+// same Envelope (promise, admission time, class, trace, notifier), and a
+// Wi-Fi batch and an IMU round settle through the same routine: one stats
+// hold, the dequeue/assembly/compute stamps, the set_values, then every
+// notifier. An IMU round is its own dequeue, so the engine histograms and
+// the trace stages read the same timestamps on both paths.
 //
 // Telemetry: `stats()` snapshots per-class queue depths and admission
 // counters plus the batch-size, queue-wait, assembly and latency histograms
@@ -152,10 +159,6 @@ struct EngineConfig {
   std::size_t workers = 2;
   /// Most requests coalesced into one network pass.
   std::size_t max_batch = 32;
-  /// Upper bound a worker holds an under-full batch open for stragglers
-  /// after taking its first request. 0 (work-conserving) = serve what is
-  /// queued; batches then grow only from backlog behind busy workers.
-  std::uint64_t max_wait_us = 0;
   /// Bounded request-queue capacity; submissions beyond it are rejected
   /// with kQueueFull (explicit backpressure instead of unbounded memory).
   std::size_t queue_cap = 1024;
@@ -214,14 +217,16 @@ struct EngineStats {
   /// totals above are exactly interactive + bulk (latency_us is their merge).
   ClassStats interactive;
   ClassStats bulk;
-  /// The configured batching window, EngineConfig::max_wait_us.
+  /// Always 0: the engine has no batching window. Kept only because the
+  /// ledger benchmark still reads it; stats() and merge() never set it.
   std::uint64_t batch_wait_us = 0;
   Histogram batch_size = Histogram::batch_sizes();  ///< Wi-Fi batch sizes
   /// Cross-session IMU coalescing widths (updates per imu_batch).
   Histogram imu_batch_size = Histogram::batch_sizes();
   /// Measured per-request queue wait (admit -> dequeue) and per-batch
-  /// assembly time (dequeue -> compute start) — the engine-owned, always-on
-  /// counterparts of the obs kQueueWait/kBatchAssembly stages.
+  /// assembly time (dequeue -> compute start), for Wi-Fi batches and IMU
+  /// rounds alike — the engine-owned, always-on counterparts of the obs
+  /// kQueueWait/kBatchAssembly stages, read from the same timestamps.
   Histogram queue_wait_us = Histogram::latency_us();
   Histogram assembly_us = Histogram::latency_us();
   Histogram latency_us = Histogram::latency_us();   ///< submit -> fulfilled
@@ -236,8 +241,7 @@ struct EngineStats {
   void set_queue_depths(std::size_t interactive_depth, std::size_t bulk_depth);
 
   /// Folds another engine's snapshot into this one: counters and gauges
-  /// sum (batch_wait_us takes the max — it is a window, not a count), the
-  /// histograms (total and per-class) merge() bin-wise.
+  /// sum, the histograms (total and per-class) merge() bin-wise.
   void merge(const EngineStats& other);
 };
 
@@ -324,13 +328,18 @@ class Engine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct WifiRequest {
-    serve::RssiVector rssi;
+  /// What every request carries from admission to settle, whatever it
+  /// computes: a Wi-Fi scan and an IMU update differ only in their payload.
+  struct Envelope {
     std::promise<serve::Fix> promise;
     Clock::time_point submitted_at;
     RequestClass cls = RequestClass::kInteractive;
     std::shared_ptr<obs::Trace> trace;  ///< stage clock; nullptr = untraced
     std::function<void()> notify;       ///< SubmitOptions::notify
+  };
+  struct WifiRequest {
+    Envelope envelope;
+    serve::RssiVector rssi;
   };
   /// Queue token: "this session has pending segments". One token is in
   /// flight per session regardless of backlog depth, so a busy track cannot
@@ -341,13 +350,9 @@ class Engine {
   using Request = std::variant<WifiRequest, SessionWork>;
 
   struct PendingUpdate {
+    Envelope envelope;
     serve::ImuSegment segment;
-    std::promise<serve::Fix> promise;
-    Clock::time_point submitted_at;
-    RequestClass cls = RequestClass::kInteractive;
     std::optional<Clock::time_point> deadline;
-    std::shared_ptr<obs::Trace> trace;  ///< stage clock; nullptr = untraced
-    std::function<void()> notify;       ///< SubmitOptions::notify
   };
   struct SessionState {
     explicit SessionState(serve::TrackingSession s) : session(std::move(s)) {}
@@ -358,11 +363,9 @@ class Engine {
     bool closed = false;
   };
 
+  /// Pops, fails what expired in the queue, serves the Wi-Fi scans as one
+  /// batch and hands the session tokens to drain_sessions.
   void worker_loop(std::size_t worker_index);
-  /// `dequeued_ns` is the batch's single pop timestamp — one clock read
-  /// serves every trace in the batch (kDequeued is a batch-level boundary).
-  void run_wifi_batch(const WifiBackend& replica, std::vector<WifiRequest> batch,
-                      std::uint64_t dequeued_ns);
   /// Session drain for every token one pop returned (a lone token included):
   /// takes one pending update per session per round and serves each round
   /// with a single batched IMU pass (ImuLocalizer::update_sessions).
@@ -371,9 +374,30 @@ class Engine {
   /// the GEMM runs. The one-token-in-flight invariant makes this worker the
   /// sole consumer of every track it drains, so each track's updates apply
   /// strictly in FIFO order.
-  void drain_sessions(const std::vector<SessionId>& ids, std::uint64_t dequeued_ns);
-  /// Fails `promise` with DeadlineExpired and counts the expiry.
-  void expire_promise(std::promise<serve::Fix>& promise, RequestClass cls);
+  void drain_sessions(const std::vector<SessionId>& ids);
+
+  /// The instants one Wi-Fi batch or IMU round passed: its requests left
+  /// the queue, the batch was built, the compute finished.
+  struct RoundTimes {
+    Clock::time_point dequeued;
+    Clock::time_point assembled;
+    Clock::time_point done;
+  };
+  /// The one success path, for a Wi-Fi batch and for an IMU round: records
+  /// the round's size into `sizes`, its assembly time and each request's
+  /// queue wait and latency under one stats_mu_ hold; stamps kDequeued,
+  /// kAssembled and kComputed (the worker owns every trace until set_value);
+  /// fulfils each promise with its fix; finishes the in-process traces; and
+  /// only then calls every notifier, once each.
+  void settle(std::vector<Envelope>& round, const std::vector<serve::Fix>& fixes,
+              Histogram& sizes, const RoundTimes& times);
+  enum class Failure { kExpired, kSessionClosed };
+  /// The one failure path, for queue expiry, session-FIFO expiry and
+  /// close_session: fails every request in `failed` (DeadlineExpired, or a
+  /// closed-session runtime_error), counts each expiry in its class, then
+  /// calls every notifier. Traces of failed requests are dropped, not
+  /// finished: stage latency describes served requests.
+  void fail(std::vector<Envelope>& failed, Failure why);
 
   EngineConfig config_;
   std::vector<std::unique_ptr<WifiBackend>> replicas_;  ///< one per worker

@@ -20,17 +20,6 @@
 
 namespace noble::gateway {
 
-/// The transport is the shared one; a gateway FrameSocket is a
-/// net::FrameSocket speaking wire::message_set().
-using FrameSocket = net::FrameSocket;
-
-/// Connects a FrameSocket speaking the gateway protocol; nullopt on
-/// refusal/resolution error.
-inline std::optional<FrameSocket> connect_socket(const std::string& host,
-                                                 std::uint16_t port) {
-  return net::FrameSocket::connect(host, port, wire::message_set());
-}
-
 /// Status + fix outcome of one Locate/TrackUpdate over the wire.
 struct WireResult {
   wire::Status status = wire::Status::kStopped;
@@ -91,16 +80,16 @@ class GatewayClient {
   /// Last refusal status observed by open_session().
   wire::Status last_error() const { return last_error_; }
 
-  FrameSocket& socket() { return sock_; }
+  net::FrameSocket& socket() { return sock_; }
   bool valid() const { return sock_.valid(); }
 
  private:
-  explicit GatewayClient(FrameSocket sock) : sock_(std::move(sock)) {}
+  explicit GatewayClient(net::FrameSocket sock) : sock_(std::move(sock)) {}
 
   /// Blocks until the response with `request_id` of `type` arrives.
-  std::optional<wire::Frame> await(wire::MsgType type, std::uint64_t request_id);
+  std::optional<net::Frame> await(wire::MsgType type, std::uint64_t request_id);
 
-  FrameSocket sock_;
+  net::FrameSocket sock_;
   std::uint64_t next_request_id_ = 1;
   wire::Status last_error_ = wire::Status::kOk;
 };

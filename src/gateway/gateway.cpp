@@ -26,7 +26,7 @@ Listener::ConnState& Listener::state_of(net::ServerConn& conn) {
 
 void Listener::send_frame(net::ServerConn& conn, wire::MsgType type,
                           std::uint64_t request_id, std::string body) {
-  wire::Frame frame;
+  net::Frame frame;
   frame.type = type;
   frame.request_id = request_id;
   frame.body = std::move(body);
@@ -74,8 +74,8 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
       options.notify = conn.notifier();
       engine::Submission s = routing_.submit(shard_key, rssi, options);
       if (s.accepted()) {
-        state.inflight.push_back(Pending{frame.request_id, frame.cls,
-                                         std::move(s.result), std::move(options.trace)});
+        state.inflight.push_back(Pending{frame.request_id, std::move(s.result),
+                                         std::move(options.trace)});
       } else {
         // Rejected: the trace is dropped unfinished — stage histograms
         // describe served requests.
@@ -107,8 +107,8 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
       options.notify = conn.notifier();
       engine::Submission s = routing_.track(it->second, std::move(segment), options);
       if (s.accepted()) {
-        state.inflight.push_back(Pending{frame.request_id, frame.cls,
-                                         std::move(s.result), std::move(options.trace)});
+        state.inflight.push_back(Pending{frame.request_id, std::move(s.result),
+                                         std::move(options.trace)});
       } else {
         send_frame(conn, wire::MsgType::kFix, frame.request_id,
                    wire::encode_fix_body(wire::from_submit_status(s.status), nullptr));
@@ -156,13 +156,13 @@ bool Listener::on_frame(net::ServerConn& conn, net::Frame frame,
     }
     case wire::MsgType::kStats:
       send_frame(conn, wire::MsgType::kStatsText, frame.request_id,
-                 wire::encode_text_body(stats_text()));
+                 net::encode_text_body(stats_text()));
       return true;
     case wire::MsgType::kStatsBinary:
       // Same snapshot, binary exposition: full histogram bins ride the
       // text-body framing (u64 length + raw bytes carries arbitrary bytes).
       send_frame(conn, wire::MsgType::kStatsSnapshot, frame.request_id,
-                 wire::encode_text_body(obs::encode_snapshot(stats_snapshot())));
+                 net::encode_text_body(obs::encode_snapshot(stats_snapshot())));
       return true;
     case wire::MsgType::kFix:
     case wire::MsgType::kSessionOpened:

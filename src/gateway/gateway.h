@@ -132,7 +132,6 @@ class Listener final : private net::FrameHandler {
  private:
   struct Pending {
     std::uint64_t request_id = 0;
-    engine::RequestClass cls = engine::RequestClass::kInteractive;
     std::future<serve::Fix> result;
     std::shared_ptr<obs::Trace> trace;  ///< stage clock; nullptr = untraced
   };

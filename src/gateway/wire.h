@@ -39,16 +39,6 @@
 
 namespace noble::gateway::wire {
 
-/// Framing constants and types are the shared net ones; aliased so existing
-/// gateway code (and its tests) keep compiling unchanged.
-inline constexpr std::uint32_t kProtocolTag = net::kProtocolTag;
-inline constexpr std::uint32_t kVersion = net::kVersion;
-inline constexpr std::uint32_t kMagic = net::kMagic;
-inline constexpr std::size_t kDefaultMaxFrameBytes = net::kDefaultMaxFrameBytes;
-
-using Frame = net::Frame;
-using DecodeResult = net::DecodeResult;
-
 enum class MsgType : std::uint32_t {
   // Client -> server.
   kLocate = 1,        ///< one RSSI scan for a shard key
@@ -132,18 +122,6 @@ engine::SubmitOptions to_submit_options(const net::Frame& frame);
 /// so the server still expires it — the client clock never decides.
 void stamp_submit_options(const engine::SubmitOptions& options, net::Frame& frame);
 
-// --- framing (shared codec, gateway vocabulary) ------------------------------
-
-inline std::string encode_frame(const Frame& frame) {
-  return net::encode_frame(frame);
-}
-
-inline DecodeResult decode_frame(std::string& buffer, Frame& out,
-                                 std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
-                                 std::string* error = nullptr) {
-  return net::decode_frame(message_set(), buffer, out, max_frame_bytes, error);
-}
-
 // --- request bodies ----------------------------------------------------------
 
 std::string encode_locate_body(std::string_view shard_key, const serve::RssiVector& rssi);
@@ -192,13 +170,6 @@ bool decode_session_opened_body(std::string_view body, Status& status,
 
 std::string encode_status_body(Status status);
 bool decode_status_body(std::string_view body, Status& status);
-
-inline std::string encode_text_body(std::string_view text) {
-  return net::encode_text_body(text);
-}
-inline bool decode_text_body(std::string_view body, std::string& text) {
-  return net::decode_text_body(body, text);
-}
 
 }  // namespace noble::gateway::wire
 

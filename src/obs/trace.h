@@ -43,7 +43,7 @@ enum class Mark : std::uint8_t {
   kRecv = 0,      ///< frame bytes arrived at the gateway
   kSubmit,        ///< decoded and handed to submit()/track()
   kAdmitted,      ///< passed admission, entering the queue
-  kDequeued,      ///< popped by a worker
+  kDequeued,      ///< popped by a worker (a session update: taken by its round)
   kAssembled,     ///< micro-batch built, entering compute
   kComputed,      ///< kernel finished
   kResponded,     ///< response handed back (future set / socket buffered)
@@ -52,9 +52,10 @@ enum class Mark : std::uint8_t {
 inline constexpr std::size_t kNumMarks = static_cast<std::size_t>(Mark::kNumMarks);
 
 /// Durations between consecutive marks. kDecode only exists for wire
-/// requests (kRecv stamped); kQueueWait deliberately includes the engine's
-/// batching window — time parked in the queue is queue wait, whatever the
-/// worker was doing.
+/// requests (kRecv stamped). kQueueWait ends when a worker dequeues the
+/// request: the pop of a Wi-Fi batch, or the IMU round that takes a session
+/// update — each round of a session drain is its own dequeue, so an update
+/// that entered its FIFO mid-drain waits until the round that serves it.
 enum class Stage : std::uint8_t {
   kDecode = 0,      ///< kRecv → kSubmit
   kAdmission,       ///< kSubmit → kAdmitted

@@ -1,7 +1,8 @@
 // Admission-control tests: class-aware bounded-queue semantics (priority
 // ordering, the bulk cap, deadline expiry — all deterministic), the
-// engine-level class/deadline contract (kExpired at submit, DeadlineExpired
-// in queue via a deliberately slow backend, interactive immunity to a bulk
+// engine-level class/deadline contract (kExpired at submit, a live deadline
+// served bit-identically, DeadlineExpired in queue via a deliberately slow
+// backend, interactive immunity to a bulk
 // flood under reserved headroom), per-class stats coherence across
 // EngineStats::merge(), and router spill-vs-affinity equivalence (a bulk
 // spill serves bit-identically to the affinity path it bypassed).
@@ -14,7 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "engine/bounded_queue.h"
 #include "engine/engine.h"
 #include "fleet/router.h"
+#include "parked_workers.h"
 #include "serve/wifi_localizer.h"
 
 namespace noble::engine {
@@ -44,7 +48,7 @@ TEST(AdmissionQueue, InteractiveDrainsBeforeBulk) {
   EXPECT_EQ(queue.try_push(2, RequestClass::kInteractive), PushResult::kOk);
   // Bulk arrived first, but interactive owns the front of every batch; bulk
   // fills the remainder in its own FIFO order.
-  const auto batch = queue.pop_batch(3, std::chrono::microseconds(0));
+  const auto batch = queue.pop_batch(3);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
@@ -74,7 +78,7 @@ TEST(AdmissionQueue, ExpiredEntriesAreHandedBackNotServed) {
                            Clock::now() + std::chrono::seconds(30)),
             PushResult::kOk);
   std::vector<int> expired;
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0), &expired);
+  const auto batch = queue.pop_batch(8, &expired);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], 2);  // the live entry
   ASSERT_EQ(expired.size(), 1u);
@@ -88,7 +92,7 @@ TEST(AdmissionQueue, AllExpiredPopReturnsWithoutSittingOutTheWindow) {
   EXPECT_EQ(queue.try_push(1, RequestClass::kInteractive, past), PushResult::kOk);
   std::vector<int> expired;
   const auto t0 = Clock::now();
-  const auto batch = queue.pop_batch(4, std::chrono::seconds(30), &expired);
+  const auto batch = queue.pop_batch(4, &expired);
   EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
   EXPECT_TRUE(batch.empty());
   ASSERT_EQ(expired.size(), 1u);
@@ -100,7 +104,7 @@ TEST(AdmissionQueue, NullExpiredListIgnoresDeadlines) {
   BoundedQueue<int> queue(8);
   const auto past = Clock::now() - std::chrono::milliseconds(5);
   EXPECT_EQ(queue.try_push(1, RequestClass::kBulk, past), PushResult::kOk);
-  const auto batch = queue.pop_batch(4, std::chrono::microseconds(0));
+  const auto batch = queue.pop_batch(4);
   ASSERT_EQ(batch.size(), 1u);  // served: caller opted out of expiry
 }
 
@@ -197,6 +201,21 @@ TEST(AdmissionEngine, PastDeadlineIsRefusedAtSubmit) {
   EXPECT_EQ(stats.interactive.expired, 0u);
 }
 
+TEST(AdmissionEngine, LiveDeadlineIsServedBitIdentically) {
+  const auto& localizer = reference_localizer();
+  const auto queries = query_pool(1);
+  ASSERT_FALSE(queries.empty());
+  Engine engine(localizer);
+
+  Submission fresh =
+      engine.submit(queries[0], SubmitOptions::interactive().expires_in_us(5'000'000));
+  ASSERT_TRUE(fresh.accepted());
+  EXPECT_TRUE(fixes_identical(fresh.result.get(), localizer.locate(queries[0])));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.expired, 0u);
+  EXPECT_EQ(stats.completed, 1u);
+}
+
 TEST(AdmissionEngine, QueuedRequestExpiresBeforeWastingAGemmSlot) {
   const auto& localizer = reference_localizer();
   const auto queries = query_pool(2);
@@ -204,7 +223,6 @@ TEST(AdmissionEngine, QueuedRequestExpiresBeforeWastingAGemmSlot) {
   EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 1;  // the sleeper and the doomed request cannot share a batch
-  cfg.max_wait_us = 0;
   Engine engine(std::make_unique<SlowBackend>(localizer, std::chrono::milliseconds(50)),
                 cfg);
 
@@ -241,10 +259,22 @@ TEST(AdmissionEngine, ReservedHeadroomKeepsInteractiveCleanUnderBulkFlood) {
   EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 0;
   cfg.queue_cap = 64;
   cfg.bulk_cap = 16;  // 48 slots bulk can never touch
+  std::latch parked{1};
+  std::latch release{1};
   Engine engine(localizer, cfg);
+  // The lone worker parks in a bulk scan's notifier (never do this outside
+  // a test) until the flood has overflowed the bulk lane: how fast an
+  // unparked worker drains depends on the machine's load, the shed below
+  // must not.
+  SubmitOptions park = SubmitOptions::bulk();
+  park.notify = [&] {
+    parked.count_down();
+    release.wait();
+  };
+  ASSERT_TRUE(engine.submit(queries[0], park).accepted());
+  parked.wait();
 
   std::atomic<bool> flooding{true};
   std::atomic<std::uint64_t> bulk_shed{0};
@@ -269,6 +299,11 @@ TEST(AdmissionEngine, ReservedHeadroomKeepsInteractiveCleanUnderBulkFlood) {
       for (auto& fut : inflight) (void)fut.get();
     });
   }
+  const auto shed_by = Clock::now() + std::chrono::seconds(5);
+  while (bulk_shed.load() == 0 && Clock::now() < shed_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release.count_down();
 
   // One interactive fix in flight at a time against 48 reserved slots:
   // admission is guaranteed, whatever the flood does.
@@ -305,7 +340,6 @@ TEST(AdmissionStats, ClassCountersPartitionTheTotals) {
   EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 0;
   Engine engine(localizer, cfg);
 
   std::vector<std::future<serve::Fix>> futures;
@@ -346,7 +380,7 @@ TEST(AdmissionStats, PerClassCountersSurviveMerge) {
   const auto queries = query_pool(4);
   ASSERT_FALSE(queries.empty());
   const auto run = [&](int interactive, int bulk) {
-    Engine engine(localizer, EngineConfig{.workers = 1, .max_wait_us = 0});
+    Engine engine(localizer, EngineConfig{.workers = 1});
     std::vector<std::future<serve::Fix>> futures;
     for (int r = 0; r < interactive; ++r) {
       Submission s = engine.submit(queries[static_cast<std::size_t>(r) % queries.size()]);
@@ -386,6 +420,29 @@ TEST(AdmissionStats, PerClassCountersSurviveMerge) {
 // Router: bulk spill vs interactive affinity.
 // ---------------------------------------------------------------------------
 
+/// For each engine of `shard_key`, a scan from `pool` whose primary engine
+/// it is (empty when the pool has none). A dead-on-arrival submit is tried
+/// on the primary engine alone, which counts it as expired — so the expired
+/// counters show where the router places each scan.
+std::vector<serve::RssiVector> scans_by_primary_engine(
+    fleet::Router& router, const std::string& shard_key,
+    const std::vector<serve::RssiVector>& pool) {
+  std::vector<serve::RssiVector> by_engine(router.shard_engine_stats(shard_key).size());
+  for (const serve::RssiVector& scan : pool) {
+    const auto before = router.shard_engine_stats(shard_key);
+    SubmitOptions dead;
+    dead.deadline = Clock::now() - std::chrono::milliseconds(1);
+    EXPECT_EQ(router.submit(shard_key, scan, dead).status, SubmitStatus::kExpired);
+    const auto after = router.shard_engine_stats(shard_key);
+    for (std::size_t e = 0; e < by_engine.size(); ++e) {
+      if (after[e].expired > before[e].expired && by_engine[e].empty()) {
+        by_engine[e] = scan;
+      }
+    }
+  }
+  return by_engine;
+}
+
 TEST(AdmissionRouter, BulkSpillServesBitIdenticallyAcrossReplicas) {
   const auto& localizer = reference_localizer();
   const auto queries = query_pool(12);
@@ -399,9 +456,15 @@ TEST(AdmissionRouter, BulkSpillServesBitIdenticallyAcrossReplicas) {
   shard.engines = 3;
   shard.engine.workers = 1;
   shard.engine.max_batch = 4;
-  shard.engine.max_wait_us = 2000;  // hold batches open so queues stay deep
   shard.engine.queue_cap = 2;
   ASSERT_TRUE(router.add_shard(shard, localizer));
+  // Park every engine's lone worker on a scan it is primary for, so each
+  // 2-slot queue stays deep however loaded the machine is.
+  std::vector<std::unique_ptr<test_support::ParkedWorkers>> parked;
+  for (const serve::RssiVector& scan : scans_by_primary_engine(router, "bldg", queries)) {
+    ASSERT_FALSE(scan.empty()) << "no query in the pool lands first on some engine";
+    parked.push_back(std::make_unique<test_support::ParkedWorkers>(router, "bldg", scan, 1));
+  }
 
   std::size_t served = 0, shed = 0, mismatches = 0;
   std::vector<std::pair<std::size_t, std::future<serve::Fix>>> inflight;
@@ -423,6 +486,7 @@ TEST(AdmissionRouter, BulkSpillServesBitIdenticallyAcrossReplicas) {
       inflight.clear();
     }
   }
+  parked.clear();  // release the workers
   for (auto& [qi, fut] : inflight) {
     if (!fixes_identical(fut.get(), expected[qi])) ++mismatches;
   }
@@ -449,7 +513,6 @@ TEST(AdmissionRouter, ClassCountersFlowIntoFleetStats) {
     fleet::ShardConfig shard;
     shard.key = key;
     shard.engine.workers = 1;
-    shard.engine.max_wait_us = 0;
     ASSERT_TRUE(router.add_shard(shard, localizer));
   }
 

@@ -310,7 +310,6 @@ fleet::ShardConfig shard_config(std::size_t queue_cap, std::size_t bulk_cap) {
   cfg.engines = 1;
   cfg.engine.workers = 1;
   cfg.engine.max_batch = 8;
-  cfg.engine.max_wait_us = 100;
   cfg.engine.queue_cap = queue_cap;
   cfg.engine.bulk_cap = bulk_cap;
   return cfg;

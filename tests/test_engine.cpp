@@ -48,7 +48,7 @@ TEST(BoundedQueue, RejectsWhenFull) {
   EXPECT_EQ(queue.try_push(3), PushResult::kFull);
   EXPECT_EQ(queue.depth(), 2u);
 
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0));
+  const auto batch = queue.pop_batch(8);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
@@ -58,30 +58,12 @@ TEST(BoundedQueue, RejectsWhenFull) {
 TEST(BoundedQueue, PopBatchHonorsMaxItems) {
   BoundedQueue<int> queue(8);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(queue.try_push(i), PushResult::kOk);
-  const auto first = queue.pop_batch(3, std::chrono::microseconds(0));
+  const auto first = queue.pop_batch(3);
   ASSERT_EQ(first.size(), 3u);
   EXPECT_EQ(first[2], 2);
   EXPECT_EQ(queue.depth(), 2u);
-  const auto rest = queue.pop_batch(3, std::chrono::microseconds(0));
+  const auto rest = queue.pop_batch(3);
   EXPECT_EQ(rest.size(), 2u);
-}
-
-TEST(BoundedQueue, FullBatchReturnsWithoutWaitingOutTheWindow) {
-  BoundedQueue<int> queue(8);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(queue.try_push(i), PushResult::kOk);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto batch = queue.pop_batch(4, std::chrono::seconds(30));
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(batch.size(), 4u);
-  EXPECT_LT(elapsed, std::chrono::seconds(5));  // did not sit out the window
-}
-
-TEST(BoundedQueue, UnderfullBatchServedAfterWindowExpires) {
-  BoundedQueue<int> queue(8);
-  EXPECT_EQ(queue.try_push(42), PushResult::kOk);
-  const auto batch = queue.pop_batch(4, std::chrono::milliseconds(5));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], 42);
 }
 
 TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
@@ -89,16 +71,16 @@ TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   EXPECT_EQ(queue.try_push(1), PushResult::kOk);
   queue.close();
   EXPECT_EQ(queue.try_push(2), PushResult::kClosed);
-  const auto drained = queue.pop_batch(8, std::chrono::microseconds(0));
+  const auto drained = queue.pop_batch(8);
   ASSERT_EQ(drained.size(), 1u);  // close() does not drop queued work
-  EXPECT_TRUE(queue.pop_batch(8, std::chrono::microseconds(0)).empty());
+  EXPECT_TRUE(queue.pop_batch(8).empty());
 }
 
 TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   BoundedQueue<int> queue(4);
   std::atomic<bool> returned{false};
   std::thread consumer([&] {
-    (void)queue.pop_batch(4, std::chrono::seconds(30));
+    (void)queue.pop_batch(4);
     returned.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -166,7 +148,6 @@ TEST(Engine, ConcurrentResultsBitIdenticalToDirectLocate) {
   EngineConfig cfg;
   cfg.workers = 3;
   cfg.max_batch = 16;
-  cfg.max_wait_us = 100;
   cfg.queue_cap = 4096;
   Engine engine(localizer, cfg);
 
@@ -235,7 +216,6 @@ TEST(Engine, FloodAgainstTinyQueueDegradesPredictably) {
   EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 2;
-  cfg.max_wait_us = 0;
   cfg.queue_cap = 4;
   Engine engine(localizer, cfg);
 
@@ -320,7 +300,6 @@ TEST(Engine, StatsTelemetryIsCoherent) {
   EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 500;
   Engine engine(localizer, cfg);
 
   std::vector<std::future<serve::Fix>> futures;
@@ -509,7 +488,6 @@ TEST(EngineBackends, QuantizedEngineBitIdenticalToDirectQuantized) {
   EngineConfig cfg;
   cfg.workers = 2;
   cfg.max_batch = 16;
-  cfg.max_wait_us = 100;
   cfg.queue_cap = 4096;
   cfg.precision = PlanBackend::Precision::kInt8;
   Engine engine(localizer, cfg);
@@ -566,7 +544,7 @@ TEST(EngineBackends, QuantizedDecodesTrackTheDenseModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-conserving batching: no window at the defaults, batches from backlog.
+// Work-conserving batching: no window, batches from backlog.
 // ---------------------------------------------------------------------------
 
 TEST(EngineBatching, LoneRequestIsNeverHeldByAWindow) {

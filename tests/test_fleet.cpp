@@ -95,7 +95,6 @@ ShardConfig shard_config(std::string key, std::size_t engines = 1) {
   cfg.engines = engines;
   cfg.engine.workers = 1;
   cfg.engine.max_batch = 8;
-  cfg.engine.max_wait_us = 100;
   cfg.engine.queue_cap = 1024;
   return cfg;
 }
@@ -255,7 +254,6 @@ TEST(Router, FallbackIsConsistentAndSpillsOnlyWhenFull) {
     ShardConfig cfg = shard_config("S", 2);
     cfg.engine.workers = 1;
     cfg.engine.max_batch = 2;
-    cfg.engine.max_wait_us = 0;
     cfg.engine.queue_cap = 2;
     ASSERT_TRUE(router.add_shard(cfg, localizer_a()));
     const serve::Fix expected = localizer_a().locate(queries[0]);

@@ -49,22 +49,22 @@ namespace {
 // Wire codec: round trips.
 // ---------------------------------------------------------------------------
 
-wire::Frame roundtrip(const wire::Frame& in) {
-  std::string buffer = wire::encode_frame(in);
-  wire::Frame out;
-  EXPECT_EQ(wire::decode_frame(buffer, out), wire::DecodeResult::kFrame);
+net::Frame roundtrip(const net::Frame& in) {
+  std::string buffer = net::encode_frame(in);
+  net::Frame out;
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out), net::DecodeResult::kFrame);
   EXPECT_TRUE(buffer.empty()) << "decode must consume exactly one frame";
   return out;
 }
 
 TEST(WireCodec, HeaderRoundTripsEveryField) {
-  wire::Frame in;
+  net::Frame in;
   in.type = wire::MsgType::kLocate;
   in.request_id = 0xDEADBEEFCAFE1234ull;
   in.cls = engine::RequestClass::kBulk;
   in.deadline_us = 250000;
   in.body = std::string("\x00\x01\x02payload", 10);
-  const wire::Frame out = roundtrip(in);
+  const net::Frame out = roundtrip(in);
   EXPECT_EQ(out.type, in.type);
   EXPECT_EQ(out.request_id, in.request_id);
   EXPECT_EQ(out.cls, in.cls);
@@ -73,22 +73,22 @@ TEST(WireCodec, HeaderRoundTripsEveryField) {
 }
 
 TEST(WireCodec, TwoFramesDecodeInOrderFromOneBuffer) {
-  wire::Frame a, b;
+  net::Frame a, b;
   a.type = wire::MsgType::kStats;
   a.request_id = 1;
   b.type = wire::MsgType::kCloseSession;
   b.request_id = 2;
   b.body = wire::encode_close_session_body(77);
-  std::string buffer = wire::encode_frame(a) + wire::encode_frame(b);
-  wire::Frame out;
-  ASSERT_EQ(wire::decode_frame(buffer, out), wire::DecodeResult::kFrame);
+  std::string buffer = net::encode_frame(a) + net::encode_frame(b);
+  net::Frame out;
+  ASSERT_EQ(net::decode_frame(wire::message_set(), buffer, out), net::DecodeResult::kFrame);
   EXPECT_EQ(out.request_id, 1u);
-  ASSERT_EQ(wire::decode_frame(buffer, out), wire::DecodeResult::kFrame);
+  ASSERT_EQ(net::decode_frame(wire::message_set(), buffer, out), net::DecodeResult::kFrame);
   EXPECT_EQ(out.request_id, 2u);
   std::uint64_t session = 0;
   EXPECT_TRUE(wire::decode_close_session_body(out.body, session));
   EXPECT_EQ(session, 77u);
-  EXPECT_EQ(wire::decode_frame(buffer, out), wire::DecodeResult::kNeedMore);
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out), net::DecodeResult::kNeedMore);
 }
 
 TEST(WireCodec, LocateBodyRoundTrip) {
@@ -160,17 +160,17 @@ TEST(WireCodec, TrackAndSessionBodiesRoundTrip) {
 // ---------------------------------------------------------------------------
 
 TEST(WireCodec, PartialFrameIsNeedMoreAtEveryPrefixLength) {
-  wire::Frame frame;
+  net::Frame frame;
   frame.type = wire::MsgType::kLocate;
   frame.request_id = 42;
   frame.body = wire::encode_locate_body("k", {-50.0f});
-  const std::string full = wire::encode_frame(frame);
+  const std::string full = net::encode_frame(frame);
   // Truncated frame: every strict prefix must parse as "need more bytes" —
   // framing state, never an error, never a partial frame.
   for (std::size_t len = 0; len < full.size(); ++len) {
     std::string buffer = full.substr(0, len);
-    wire::Frame out;
-    EXPECT_EQ(wire::decode_frame(buffer, out), wire::DecodeResult::kNeedMore)
+    net::Frame out;
+    EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out), net::DecodeResult::kNeedMore)
         << "at prefix length " << len;
     EXPECT_EQ(buffer.size(), len) << "kNeedMore must not consume bytes";
   }
@@ -182,10 +182,10 @@ TEST(WireCodec, OversizedLengthPrefixIsMalformedBeforeAllocation) {
   const std::uint32_t huge = 0x7FFFFFFFu;
   std::string buffer(sizeof huge, '\0');
   std::memcpy(buffer.data(), &huge, sizeof huge);
-  wire::Frame out;
+  net::Frame out;
   std::string error;
-  EXPECT_EQ(wire::decode_frame(buffer, out, wire::kDefaultMaxFrameBytes, &error),
-            wire::DecodeResult::kMalformed);
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out, net::kDefaultMaxFrameBytes, &error),
+            net::DecodeResult::kMalformed);
   EXPECT_NE(error.find("oversized"), std::string::npos) << error;
 }
 
@@ -193,47 +193,47 @@ TEST(WireCodec, LengthPrefixShorterThanHeaderIsMalformed) {
   const std::uint32_t tiny = 4;  // a 4-byte payload cannot hold the header
   std::string buffer(sizeof tiny + tiny, '\0');
   std::memcpy(buffer.data(), &tiny, sizeof tiny);
-  wire::Frame out;
+  net::Frame out;
   std::string error;
-  EXPECT_EQ(wire::decode_frame(buffer, out, wire::kDefaultMaxFrameBytes, &error),
-            wire::DecodeResult::kMalformed);
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out, net::kDefaultMaxFrameBytes, &error),
+            net::DecodeResult::kMalformed);
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 }
 
 TEST(WireCodec, BadMagicIsMalformed) {
-  wire::Frame frame;
+  net::Frame frame;
   frame.type = wire::MsgType::kStats;
-  std::string buffer = wire::encode_frame(frame);
+  std::string buffer = net::encode_frame(frame);
   buffer[4] ^= 0x40;  // corrupt the protocol tag, not just the version byte
   buffer[5] ^= 0x40;
-  wire::Frame out;
+  net::Frame out;
   std::string error;
-  EXPECT_EQ(wire::decode_frame(buffer, out, wire::kDefaultMaxFrameBytes, &error),
-            wire::DecodeResult::kMalformed);
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out, net::kDefaultMaxFrameBytes, &error),
+            net::DecodeResult::kMalformed);
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
 
 TEST(WireCodec, VersionMismatchIsDistinguishedFromBadMagic) {
-  wire::Frame frame;
+  net::Frame frame;
   frame.type = wire::MsgType::kStats;
-  std::string buffer = wire::encode_frame(frame);
+  std::string buffer = net::encode_frame(frame);
   // The low magic byte is the version (little-endian u32 at payload start).
-  buffer[4] = static_cast<char>(wire::kVersion + 1);
-  wire::Frame out;
+  buffer[4] = static_cast<char>(net::kVersion + 1);
+  net::Frame out;
   std::string error;
-  EXPECT_EQ(wire::decode_frame(buffer, out, wire::kDefaultMaxFrameBytes, &error),
-            wire::DecodeResult::kMalformed);
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out, net::kDefaultMaxFrameBytes, &error),
+            net::DecodeResult::kMalformed);
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
 TEST(WireCodec, UnknownMessageTypeIsMalformed) {
-  wire::Frame frame;
+  net::Frame frame;
   frame.type = static_cast<wire::MsgType>(999);
-  std::string buffer = wire::encode_frame(frame);
-  wire::Frame out;
+  std::string buffer = net::encode_frame(frame);
+  net::Frame out;
   std::string error;
-  EXPECT_EQ(wire::decode_frame(buffer, out, wire::kDefaultMaxFrameBytes, &error),
-            wire::DecodeResult::kMalformed);
+  EXPECT_EQ(net::decode_frame(wire::message_set(), buffer, out, net::kDefaultMaxFrameBytes, &error),
+            net::DecodeResult::kMalformed);
   EXPECT_NE(error.find("unknown message type"), std::string::npos) << error;
 }
 
@@ -513,12 +513,12 @@ void expect_error_then_close(std::uint16_t port, const std::string& bytes) {
             static_cast<ssize_t>(bytes.size()));
   std::string response = read_to_eof(fd);
   ::close(fd);
-  wire::Frame frame;
-  ASSERT_EQ(wire::decode_frame(response, frame), wire::DecodeResult::kFrame)
+  net::Frame frame;
+  ASSERT_EQ(net::decode_frame(wire::message_set(), response, frame), net::DecodeResult::kFrame)
       << "the server must answer with a well-formed error frame before closing";
   EXPECT_EQ(frame.type, wire::MsgType::kError);
   std::string reason;
-  EXPECT_TRUE(wire::decode_text_body(frame.body, reason));
+  EXPECT_TRUE(net::decode_text_body(frame.body, reason));
   EXPECT_FALSE(reason.empty());
   EXPECT_TRUE(response.empty()) << "nothing may follow the error frame";
 }
@@ -528,26 +528,26 @@ TEST(GatewayListener, MalformedTrafficGetsOneErrorFrameThenClose) {
 
   // Bad magic.
   {
-    wire::Frame frame;
+    net::Frame frame;
     frame.type = wire::MsgType::kStats;
-    std::string bytes = wire::encode_frame(frame);
+    std::string bytes = net::encode_frame(frame);
     bytes[4] ^= 0x40;
     bytes[5] ^= 0x40;
     expect_error_then_close(gw.listener.port(), bytes);
   }
   // Version from the future.
   {
-    wire::Frame frame;
+    net::Frame frame;
     frame.type = wire::MsgType::kStats;
-    std::string bytes = wire::encode_frame(frame);
-    bytes[4] = static_cast<char>(wire::kVersion + 9);
+    std::string bytes = net::encode_frame(frame);
+    bytes[4] = static_cast<char>(net::kVersion + 9);
     expect_error_then_close(gw.listener.port(), bytes);
   }
   // Unknown message type.
   {
-    wire::Frame frame;
+    net::Frame frame;
     frame.type = static_cast<wire::MsgType>(999);
-    expect_error_then_close(gw.listener.port(), wire::encode_frame(frame));
+    expect_error_then_close(gw.listener.port(), net::encode_frame(frame));
   }
   // Oversized length prefix.
   {
@@ -565,10 +565,10 @@ TEST(GatewayListener, MalformedTrafficGetsOneErrorFrameThenClose) {
   }
   // A response type sent by a client is a protocol violation too.
   {
-    wire::Frame frame;
+    net::Frame frame;
     frame.type = wire::MsgType::kFix;
     frame.body = wire::encode_fix_body(wire::Status::kOk, nullptr);
-    expect_error_then_close(gw.listener.port(), wire::encode_frame(frame));
+    expect_error_then_close(gw.listener.port(), net::encode_frame(frame));
   }
 
   EXPECT_EQ(gw.listener.counters().malformed_frames, 6u);
@@ -725,14 +725,14 @@ TEST(GatewaySettle, CloseSessionAnswersEveryPendingUpdate) {
     pending.insert(id);
   }
   ASSERT_TRUE(wait_for_queue_depth(gw.router, 1));  // updates wait in the FIFO
-  wire::Frame close;
+  net::Frame close;
   close.type = wire::MsgType::kCloseSession;
   close.request_id = 1000;
   close.body = wire::encode_close_session_body(*session);
   ASSERT_TRUE(client->socket().send_frame(close));
   bool closed = false;
   while (!closed || !pending.empty()) {
-    std::optional<wire::Frame> frame = client->socket().recv_frame(kAnswerTimeoutMs);
+    std::optional<net::Frame> frame = client->socket().recv_frame(kAnswerTimeoutMs);
     ASSERT_TRUE(frame.has_value()) << pending.size() << " pending updates unanswered";
     if (frame->type == wire::MsgType::kSessionClosed) {
       wire::Status status = wire::Status::kStopped;

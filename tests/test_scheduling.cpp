@@ -1,8 +1,9 @@
 // Scheduling tests (PR 9): EDF bulk-lane ordering determinism (ties, mixed
 // deadline/no-deadline entries, all-expired pops), cross-session IMU
 // coalescing bit-identity against direct TrackingSession inference,
-// per-session FIFO preserved under 8-thread pipelined load, and IMU pass
-// accounting for a lone session update.
+// per-session FIFO preserved under 8-thread pipelined load, IMU pass
+// accounting for a lone session update, and the stage stamps of a drain
+// that serves more than one round.
 //
 // Carries the `concurrency` CTest label and runs under
 // -DNOBLE_SANITIZE=thread in CI.
@@ -12,6 +13,8 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "core/noble_wifi.h"
 #include "engine/bounded_queue.h"
 #include "engine/engine.h"
+#include "obs/trace.h"
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
 
@@ -40,7 +44,7 @@ TEST(EdfQueue, BulkDrainsByAscendingDeadline) {
   EXPECT_EQ(queue.try_push(2, RequestClass::kBulk, at(10000)), PushResult::kOk);
   EXPECT_EQ(queue.try_push(3, RequestClass::kBulk, at(20000)), PushResult::kOk);
   std::vector<int> expired;
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0), &expired);
+  const auto batch = queue.pop_batch(8, &expired);
   EXPECT_TRUE(expired.empty());
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0], 2);  // earliest deadline first, not arrival order
@@ -54,7 +58,7 @@ TEST(EdfQueue, TiesBreakByAdmissionSequence) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(queue.try_push(i, RequestClass::kBulk, deadline), PushResult::kOk);
   }
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0));
+  const auto batch = queue.pop_batch(8);
   ASSERT_EQ(batch.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(batch[static_cast<std::size_t>(i)], i);
 }
@@ -68,7 +72,7 @@ TEST(EdfQueue, DeadlinelessEntriesSortLastInArrivalOrder) {
   EXPECT_EQ(queue.try_push(3, RequestClass::kBulk), PushResult::kOk);
   EXPECT_EQ(queue.try_push(4, RequestClass::kBulk, now + std::chrono::seconds(30)),
             PushResult::kOk);
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0));
+  const auto batch = queue.pop_batch(8);
   ASSERT_EQ(batch.size(), 4u);
   EXPECT_EQ(batch[0], 4);  // deadline-carrying entries first, ascending
   EXPECT_EQ(batch[1], 2);
@@ -87,7 +91,7 @@ TEST(EdfQueue, InteractiveLaneStaysFifoAndStillOutranksBulk) {
             PushResult::kOk);
   EXPECT_EQ(queue.try_push(10, RequestClass::kBulk, now + std::chrono::seconds(1)),
             PushResult::kOk);
-  const auto batch = queue.pop_batch(8, std::chrono::microseconds(0));
+  const auto batch = queue.pop_batch(8);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0], 1);   // arrival order within interactive
   EXPECT_EQ(batch[1], 2);
@@ -104,7 +108,7 @@ TEST(EdfQueue, AllExpiredPopReturnsCorpsesInDeadlineOrderWithoutWaiting) {
             PushResult::kOk);
   std::vector<int> expired;
   const auto t0 = Clock::now();
-  const auto batch = queue.pop_batch(8, std::chrono::seconds(30), &expired);
+  const auto batch = queue.pop_batch(8, &expired);
   EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));  // corpse short-circuit
   EXPECT_TRUE(batch.empty());
   ASSERT_EQ(expired.size(), 3u);
@@ -308,6 +312,67 @@ TEST(SessionCoalescing, LoneUpdateIsOneImuPassOfWidthOne) {
   EXPECT_EQ(stats.imu_batch_size.count(), 1u);
   EXPECT_EQ(stats.imu_batch_size.max_recorded(), 1.0);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+// Each IMU round is its own dequeue. The first update's notifier submits
+// the session's next update, which enters the FIFO after the token was
+// popped and is served by the drain's second round: its kDequeued must be
+// that round's, not the pop's, or its queue wait would end before it began.
+TEST(SessionCoalescing, EveryRoundStampsItsOwnDequeue) {
+  const auto& f = scheduling_fixture();
+  const serve::WifiLocalizer wifi = serve::WifiLocalizer::from_model(f.wifi_model);
+  const serve::ImuLocalizer imu = serve::ImuLocalizer::from_model(f.imu_tracker);
+  EngineConfig cfg;
+  cfg.workers = 1;
+  Engine engine(wifi, imu, cfg);
+
+  const auto& path = f.imu_exp.split.test.paths.front();
+  const auto segments = segments_of(path, f.imu_tracker.segment_dim());
+  ASSERT_GE(segments.size(), 2u);
+  serve::TrackingSession direct = imu.start_session(path.start);
+  const serve::Fix expected_first = direct.update(segments[0]);
+  const serve::Fix expected_second = direct.update(segments[1]);
+
+  const auto session = engine.open_session(path.start);
+  ASSERT_TRUE(session.has_value());
+  // The test holds both traces; external_respond keeps the engine from
+  // finishing them into the global stage histograms.
+  std::shared_ptr<obs::Trace> traces[2] = {std::make_shared<obs::Trace>(),
+                                           std::make_shared<obs::Trace>()};
+  for (const auto& trace : traces) trace->external_respond = true;
+
+  Submission second;
+  std::latch second_submitted{1};
+  SubmitOptions first_options;
+  first_options.trace = traces[0];
+  first_options.notify = [&] {
+    SubmitOptions options;
+    options.trace = traces[1];
+    second = engine.track(*session, segments[1], options);
+    second_submitted.count_down();
+  };
+  Submission first = engine.track(*session, segments[0], first_options);
+  ASSERT_TRUE(first.accepted());
+  EXPECT_TRUE(first.result.get() == expected_first);
+  second_submitted.wait();
+  ASSERT_TRUE(second.accepted());
+  EXPECT_TRUE(second.result.get() == expected_second);
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    const obs::Trace& trace = *traces[i];
+    const std::uint64_t admitted = trace.mark_ns(obs::Mark::kAdmitted);
+    const std::uint64_t dequeued = trace.mark_ns(obs::Mark::kDequeued);
+    const std::uint64_t assembled = trace.mark_ns(obs::Mark::kAssembled);
+    const std::uint64_t computed = trace.mark_ns(obs::Mark::kComputed);
+    EXPECT_NE(admitted, 0u) << "update " << i;
+    EXPECT_LE(admitted, dequeued) << "update " << i;
+    EXPECT_LE(dequeued, assembled) << "update " << i;
+    EXPECT_LE(assembled, computed) << "update " << i;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.imu_batches, 2u);  // one drain, two rounds
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.queue_wait_us.count(), stats.completed);
 }
 
 }  // namespace

@@ -153,7 +153,6 @@ TEST(TimingGates, TracingAtOnePercentSamplingKeepsP50WithinFivePercent) {
   shard.key = "bldg-A";
   shard.engine.workers = std::clamp<std::size_t>(
       std::max(1u, std::thread::hardware_concurrency()), 2, 8);
-  shard.engine.max_wait_us = 100;
   shard.engine.queue_cap = 4096;
   router.add_shard(shard, smoke.localizer);
 
@@ -207,8 +206,8 @@ struct AdmissionPhase {
   std::size_t spot_mismatches = 0;  ///< post-flood fixes != direct locate()
 };
 
-/// One phase on a fresh engine (2 workers, batches of 16, 100 us window,
-/// 256 queue slots): 2 interactive clients each make 1000 paced submit ->
+/// One phase on a fresh engine (2 workers, batches of 16, 256 queue
+/// slots): 2 interactive clients each make 1000 paced submit ->
 /// get calls with 200 us think time, while 2 bulk clients flood with a
 /// 256-deep in-flight window until the interactive clients finish. Classed:
 /// bulk holds at most 64 slots and submits as kBulk with a 5000 us deadline.
@@ -220,7 +219,6 @@ AdmissionPhase run_admission_phase(const SmokeUji& smoke, bool classed) {
   engine::EngineConfig cfg;
   cfg.workers = 2;
   cfg.max_batch = 16;
-  cfg.max_wait_us = 100;
   cfg.queue_cap = 256;
   if (classed) cfg.bulk_cap = 64;
   engine::Engine engine(smoke.localizer, cfg);
