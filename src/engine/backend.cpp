@@ -7,7 +7,7 @@ namespace {
 std::shared_ptr<const serve::OptimizedNetwork> plan_for(
     const serve::WifiLocalizer& localizer, PlanBackend::Precision precision) {
   // fp32 reuses the plan the localizer compiled at load; int8 is the one
-  // extra compile, done once here and shared by every clone.
+  // extra compile, done once here.
   return precision == PlanBackend::Precision::kFloat32
              ? localizer.plan()
              : serve::optimize_network(localizer.model().network(), precision);
@@ -30,10 +30,6 @@ std::vector<serve::Fix> PlanBackend::locate_batch(
     out.push_back(localizer_->decode_logits(logits.row(i)));
   }
   return out;
-}
-
-std::unique_ptr<WifiBackend> PlanBackend::clone() const {
-  return std::unique_ptr<WifiBackend>(new PlanBackend(localizer_, plan_));
 }
 
 std::string PlanBackend::name() const {

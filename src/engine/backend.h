@@ -1,5 +1,5 @@
-// noble::engine backends — the replica abstraction the worker pool serves
-// from.
+// noble::engine backends — the batched-locate provider the worker pool
+// serves from.
 //
 // A WifiBackend is an opaque batched-locate provider — the standard shape
 // of production inference runtimes, where every kernel sits behind one
@@ -7,17 +7,17 @@
 //
 //   locate_batch(span<RssiVector>) -> vector<Fix>   the batched hot path
 //   input_dim()                                     admission-control check
-//   clone()                                         shared-nothing replication
 //
-// Backends must be deterministic and batch-invariant: a query's Fix may not
-// depend on what else was coalesced into its micro-batch, and clone()s must
-// answer bit-identically to the original. That is what keeps the engine's
+// An engine owns one backend and every worker calls it concurrently, so
+// locate_batch must be const and thread-safe. Backends must also be
+// deterministic and batch-invariant: a query's Fix may not depend on what
+// else was coalesced into its micro-batch. That is what keeps the engine's
 // equivalence contract ("routed == direct, however requests were batched")
 // checkable per backend.
 //
 // PlanBackend is the one built-in implementation: a compiled
 // serve::OptimizedNetwork plan at either precision. The interface stays so
-// tests can inject fakes (a deliberately slow replica, for instance).
+// tests can inject fakes (a deliberately slow backend, for instance).
 #ifndef NOBLE_ENGINE_BACKEND_H_
 #define NOBLE_ENGINE_BACKEND_H_
 
@@ -47,55 +47,43 @@ class WifiBackend {
   /// kBadDimension before they reach a worker.
   virtual std::size_t input_dim() const = 0;
 
-  /// Replication for the worker pool (one replica per worker). Clones must
-  /// be bit-identical providers: clone()->locate_batch(q) == locate_batch(q)
-  /// for every q.
-  virtual std::unique_ptr<WifiBackend> clone() const = 0;
-
   /// Stable identifier for telemetry and bench output.
   virtual std::string name() const = 0;
 };
 
-/// The serving replica: the localizer's featurization and logit decoding
+/// The serving backend: the localizer's featurization and logit decoding
 /// around one compiled plan. fp32 serves from the localizer's own plan
 /// (bit-identical to WifiLocalizer::locate_batch); int8 compiles one
 /// quantized plan at construction (per-output-channel int8 weights, per-row
 /// dynamic activation scales), so its positions differ from fp32 by
-/// quantization error but are bit-identical across replicas and batchings.
-/// The localizer and plan are immutable and shared by every clone: a clone
-/// is two pointer copies, never a weight re-pack or re-quantization.
+/// quantization error but are bit-identical across batchings. The
+/// localizer and plan are immutable, so every worker reads them lock-free.
 class PlanBackend final : public WifiBackend {
  public:
   using Precision = serve::OptimizedNetwork::Precision;
 
   /// Deep-copies the localizer's model once (shared-nothing with the
-  /// original); clones of this backend then share that copy.
+  /// original).
   explicit PlanBackend(const serve::WifiLocalizer& localizer,
                        Precision precision = Precision::kFloat32);
 
   std::vector<serve::Fix> locate_batch(
       std::span<const serve::RssiVector> queries) const override;
   std::size_t input_dim() const override { return localizer_->num_aps(); }
-  std::unique_ptr<WifiBackend> clone() const override;
   /// precision_name() of the plan's precision.
   std::string name() const override;
 
-  /// The packed plan this replica serves from — same object across clones
-  /// (the no-re-pack contract is testable by pointer equality).
+  /// The packed plan this backend serves from.
   std::shared_ptr<const serve::OptimizedNetwork> plan() const { return plan_; }
 
  private:
-  PlanBackend(std::shared_ptr<const serve::WifiLocalizer> localizer,
-              std::shared_ptr<const serve::OptimizedNetwork> plan)
-      : localizer_(std::move(localizer)), plan_(std::move(plan)) {}
-
   // plan_ borrows heap-stable layer state from localizer_'s network, so the
   // localizer pointer must be declared first and kept alive alongside it.
   std::shared_ptr<const serve::WifiLocalizer> localizer_;
   std::shared_ptr<const serve::OptimizedNetwork> plan_;
 };
 
-/// "dense" (fp32) or "quantized" (int8): the replica's telemetry name.
+/// "dense" (fp32) or "quantized" (int8): the backend's telemetry name.
 std::string_view precision_name(serve::OptimizedNetwork::Precision precision);
 
 }  // namespace noble::engine

@@ -24,23 +24,17 @@ double micros_between(std::chrono::steady_clock::time_point from,
 Engine::Engine(const serve::WifiLocalizer& wifi, EngineConfig config)
     : Engine(std::make_unique<PlanBackend>(wifi, config.precision), config) {}
 
-Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
+Engine::Engine(std::unique_ptr<WifiBackend> backend, EngineConfig config)
     : config_(config),
+      backend_(std::move(backend)),
       queue_(config.queue_cap, std::min(config.bulk_cap, config.queue_cap)) {
-  NOBLE_EXPECTS(prototype != nullptr);
+  NOBLE_EXPECTS(backend_ != nullptr);
   NOBLE_EXPECTS(config_.workers >= 1);
   NOBLE_EXPECTS(config_.max_batch >= 1);
   NOBLE_EXPECTS(config_.session_backlog >= 1);
-  // One replica per worker; clones share only immutable state (the
-  // localizer and its packed plan), so the batched hot path takes no locks.
-  replicas_.reserve(config_.workers);
-  replicas_.push_back(std::move(prototype));
-  for (std::size_t i = 1; i < config_.workers; ++i) {
-    replicas_.push_back(replicas_.front()->clone());
-  }
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -219,9 +213,11 @@ EngineStats Engine::stats() const {
     split.accepted = class_accepted_[i].value();
     split.rejected = class_rejected_[i].value();
     split.expired = class_expired_[i].value();
+    split.closed = class_closed_[i].value();
     snapshot.submitted += split.accepted;
     snapshot.rejected += split.rejected;
     snapshot.expired += split.expired;
+    snapshot.closed += split.closed;
   }
   snapshot.set_queue_depths(queue_.depth(RequestClass::kInteractive),
                             queue_.depth(RequestClass::kBulk));
@@ -232,6 +228,7 @@ void ClassStats::merge(const ClassStats& other) {
   accepted += other.accepted;
   rejected += other.rejected;
   expired += other.expired;
+  closed += other.closed;
   queue_depth += other.queue_depth;
   latency_us.merge(other.latency_us);
 }
@@ -247,6 +244,7 @@ void EngineStats::merge(const EngineStats& other) {
   submitted += other.submitted;
   rejected += other.rejected;
   expired += other.expired;
+  closed += other.closed;
   completed += other.completed;
   batches += other.batches;
   imu_batches += other.imu_batches;
@@ -260,14 +258,13 @@ void EngineStats::merge(const EngineStats& other) {
   bulk.merge(other.bulk);
 }
 
-void Engine::worker_loop(std::size_t worker_index) {
-  const WifiBackend& replica = *replicas_[worker_index];
+void Engine::worker_loop() {
   for (;;) {
     std::vector<Request> expired;
     std::vector<Request> batch = queue_.pop_batch(config_.max_batch, &expired);
     if (batch.empty() && expired.empty()) return;  // closed and fully drained
     const Clock::time_point dequeued = Clock::now();
-    // Deadline-expired takes never reach a replica: fail them now, before
+    // Deadline-expired takes never reach the backend: fail them now, before
     // the live batch computes — the batch slots went to live requests.
     std::vector<Envelope> lapsed;
     for (Request& request : expired) {
@@ -298,7 +295,7 @@ void Engine::worker_loop(std::size_t worker_index) {
     }
     if (!wifi.empty()) {
       const Clock::time_point assembled = Clock::now();
-      const std::vector<serve::Fix> fixes = replica.locate_batch(queries);
+      const std::vector<serve::Fix> fixes = backend_->locate_batch(queries);
       settle(wifi, fixes, batch_hist_, {dequeued, assembled, Clock::now()});
     }
     if (!tokens.empty()) drain_sessions(tokens);
@@ -348,10 +345,12 @@ void Engine::settle(std::vector<Envelope>& round, const std::vector<serve::Fix>&
 
 void Engine::fail(std::vector<Envelope>& failed, Failure why) {
   for (Envelope& request : failed) {
+    const std::size_t cls = request_class_index(request.cls);
     if (why == Failure::kExpired) {
-      class_expired_[request_class_index(request.cls)].inc();
+      class_expired_[cls].inc();
       request.promise.set_exception(std::make_exception_ptr(DeadlineExpired{}));
     } else {
+      class_closed_[cls].inc();
       request.promise.set_exception(std::make_exception_ptr(
           std::runtime_error("noble::engine: session closed with pending updates")));
     }

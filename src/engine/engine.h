@@ -5,15 +5,15 @@
 // amortization `locate_batch` already proves out. The engine closes that
 // serving gap:
 //
-//   clients ── submit() ──▶ bounded queue ── pop_batch ──▶ worker 0 ─ replica 0
-//      ▲          │            (admission control)         worker 1 ─ replica 1
-//      │          └─ kQueueFull / kBadDimension / kStopped    ...        ...
+//   clients ── submit() ──▶ bounded queue ── pop_batch ──▶ worker 0 ─┐
+//      ▲          │            (admission control)         worker 1 ─┼─ backend
+//      │          └─ kQueueFull / kBadDimension / kStopped    ...    ─┘
 //      └──────────── std::future<Fix> fulfilled per micro-batch
 //
 // Requests are coalesced up to a max batch size and executed on a worker
-// pool over WifiBackend replicas (see engine/backend.h: one compiled plan,
-// fp32 by default or int8, immutable and shared so there are no locks on
-// the hot path). Output is bit-identical to direct inference on the same
+// pool that shares one WifiBackend (see engine/backend.h: one compiled
+// plan, fp32 by default or int8, immutable so there are no locks on the
+// hot path). Output is bit-identical to direct inference on the same
 // backend for every request regardless of how requests get batched.
 //
 // Admission control is class- and deadline-aware. Every submission carries
@@ -155,7 +155,7 @@ struct Submission {
 };
 
 struct EngineConfig {
-  /// Worker threads; each owns one WifiBackend replica.
+  /// Worker threads, all serving from the engine's one WifiBackend.
   std::size_t workers = 2;
   /// Most requests coalesced into one network pass.
   std::size_t max_batch = 32;
@@ -170,9 +170,9 @@ struct EngineConfig {
   /// Most not-yet-processed segments one tracking session may buffer before
   /// its submissions are rejected with kQueueFull.
   std::size_t session_backlog = 64;
-  /// Arithmetic of the replicas' compiled plan (fp32, or int8 quantized);
-  /// ignored by the backend-injection constructor, which receives a
-  /// prototype directly.
+  /// Arithmetic of the backend's compiled plan (fp32, or int8 quantized);
+  /// ignored by the backend-injection constructor, which receives its
+  /// backend directly.
   serve::OptimizedNetwork::Precision precision =
       serve::OptimizedNetwork::Precision::kFloat32;
 };
@@ -184,6 +184,7 @@ struct ClassStats {
   std::uint64_t accepted = 0;  ///< admitted to the queue or a session FIFO
   std::uint64_t rejected = 0;  ///< kQueueFull/kBadDimension/kStopped verdicts
   std::uint64_t expired = 0;   ///< kExpired at submit + DeadlineExpired futures
+  std::uint64_t closed = 0;    ///< pending updates failed by close_session
   /// Instantaneous depth of this class's queue lane — the split of
   /// EngineStats::queue_depth the obs labeled depth gauges read.
   std::size_t queue_depth = 0;
@@ -199,14 +200,15 @@ struct ClassStats {
 /// that is exactly what fleet::Router::stats() does.
 ///
 /// The snapshot is a derived view: Engine::stats() fills `submitted`,
-/// `rejected`, `expired` and `queue_depth` as interactive + bulk, and
-/// `completed`, `batches` and `imu_batches` as the counts of `latency_us`,
-/// `batch_size` and `imu_batch_size`. Nothing stores a percentile; read one
+/// `rejected`, `expired`, `closed` and `queue_depth` as interactive + bulk,
+/// and `completed`, `batches` and `imu_batches` as the counts of
+/// `latency_us`, `batch_size` and `imu_batch_size`. Nothing stores a percentile; read one
 /// with summarize_latency_us() or Histogram::percentile().
 struct EngineStats {
   std::uint64_t submitted = 0;  ///< accepted (queued or in a session FIFO)
   std::uint64_t rejected = 0;   ///< non-kAccepted submissions (kExpired aside)
   std::uint64_t expired = 0;    ///< deadline-expired requests, both flavors
+  std::uint64_t closed = 0;     ///< pending updates failed by close_session
   std::uint64_t completed = 0;  ///< futures fulfilled
   std::uint64_t batches = 0;    ///< Wi-Fi micro-batches executed
   /// Batched IMU passes executed (every session update is served by exactly
@@ -250,21 +252,20 @@ using SessionId = std::uint64_t;
 
 class Engine {
  public:
-  /// Wi-Fi-only engine: builds a PlanBackend at config.precision over a deep
-  /// copy of `wifi`, replicates it once per worker and starts the pool.
+  /// Wi-Fi-only engine: builds one PlanBackend at config.precision over a
+  /// deep copy of `wifi` and starts the pool.
   explicit Engine(const serve::WifiLocalizer& wifi, EngineConfig config = {});
 
   /// Engine that additionally serves streaming IMU sessions. The single
   /// `imu` localizer is shared by all sessions — its inference path is
-  /// const and thread-safe, so replicas would buy nothing.
+  /// const and thread-safe, like the Wi-Fi backend's.
   Engine(const serve::WifiLocalizer& wifi, const serve::ImuLocalizer& imu,
          EngineConfig config = {});
 
-  /// Backend-injection constructor: the worker pool replicates `prototype`
-  /// via clone() (prototype becomes replica 0). This is the seam custom
-  /// forward paths (tests, future accelerator backends) plug into;
-  /// config.precision is ignored.
-  explicit Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config = {});
+  /// Backend-injection constructor: every worker serves from `backend`.
+  /// This is the seam custom forward paths (tests, future accelerator
+  /// backends) plug into; config.precision is ignored.
+  explicit Engine(std::unique_ptr<WifiBackend> backend, EngineConfig config = {});
 
   /// Drains and joins (see shutdown()).
   ~Engine();
@@ -300,7 +301,8 @@ class Engine {
   }
 
   /// Unregisters a session. Pending (unprocessed) updates fail their
-  /// futures with std::runtime_error. Returns false for unknown ids.
+  /// futures with std::runtime_error and count in EngineStats::closed.
+  /// Returns false for unknown ids.
   bool close_session(SessionId session);
 
   /// Stops admission, drains every queued request (all accepted futures are
@@ -319,10 +321,10 @@ class Engine {
   /// with is the *bulk* lane, not interactive traffic that outranks it
   /// everywhere anyway. Same cost as queue_depth() — one queue lock.
   std::size_t queue_depth(RequestClass cls) const { return queue_.depth(cls); }
-  std::size_t num_aps() const { return replicas_.front()->input_dim(); }
-  /// Name of the backend the worker replicas run ("dense", "quantized", or
-  /// whatever an injected prototype reports).
-  std::string backend_name() const { return replicas_.front()->name(); }
+  std::size_t num_aps() const { return backend_->input_dim(); }
+  /// Name of the backend the workers run ("dense", "quantized", or
+  /// whatever an injected backend reports).
+  std::string backend_name() const { return backend_->name(); }
   bool has_imu() const { return imu_.has_value(); }
 
  private:
@@ -365,7 +367,7 @@ class Engine {
 
   /// Pops, fails what expired in the queue, serves the Wi-Fi scans as one
   /// batch and hands the session tokens to drain_sessions.
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
   /// Session drain for every token one pop returned (a lone token included):
   /// takes one pending update per session per round and serves each round
   /// with a single batched IMU pass (ImuLocalizer::update_sessions).
@@ -394,13 +396,13 @@ class Engine {
   enum class Failure { kExpired, kSessionClosed };
   /// The one failure path, for queue expiry, session-FIFO expiry and
   /// close_session: fails every request in `failed` (DeadlineExpired, or a
-  /// closed-session runtime_error), counts each expiry in its class, then
-  /// calls every notifier. Traces of failed requests are dropped, not
-  /// finished: stage latency describes served requests.
+  /// closed-session runtime_error), counts each in its class's expired or
+  /// closed counter, then calls every notifier. Traces of failed requests
+  /// are dropped, not finished: stage latency describes served requests.
   void fail(std::vector<Envelope>& failed, Failure why);
 
   EngineConfig config_;
-  std::vector<std::unique_ptr<WifiBackend>> replicas_;  ///< one per worker
+  std::unique_ptr<WifiBackend> backend_;  ///< shared by every worker
   std::optional<serve::ImuLocalizer> imu_;
   BoundedQueue<Request> queue_;
 
@@ -412,6 +414,7 @@ class Engine {
   obs::Counter class_accepted_[kNumRequestClasses];
   obs::Counter class_rejected_[kNumRequestClasses];
   obs::Counter class_expired_[kNumRequestClasses];
+  obs::Counter class_closed_[kNumRequestClasses];
   /// Guards the histograms below. Their counts are the snapshot's batch
   /// and completion counters, so no separate counter shadows them.
   mutable std::mutex stats_mu_;

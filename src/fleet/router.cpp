@@ -296,14 +296,6 @@ std::vector<engine::EngineStats> Router::shard_engine_stats(
   return out;
 }
 
-std::vector<std::string> Router::shard_keys() const {
-  std::vector<std::string> out;
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  out.reserve(shards_.size());
-  for (const auto& [key, shard] : shards_) out.push_back(key);
-  return out;
-}
-
 bool Router::has_shard(std::string_view shard_key) const {
   return find_shard(shard_key) != nullptr;
 }

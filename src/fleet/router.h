@@ -218,7 +218,6 @@ class Router : public Routing {
   /// for unknown keys).
   std::vector<engine::EngineStats> shard_engine_stats(std::string_view shard_key) const;
 
-  std::vector<std::string> shard_keys() const;
   bool has_shard(std::string_view shard_key) const override;
   std::size_t num_shards() const;
 

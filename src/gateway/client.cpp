@@ -83,12 +83,10 @@ std::optional<std::uint64_t> GatewayClient::open_session(const std::string& shar
   wire::Status status = wire::Status::kStopped;
   std::uint64_t session_id = 0;
   if (!reply.has_value() ||
-      !wire::decode_session_opened_body(reply->body, status, session_id)) {
-    last_error_ = wire::Status::kStopped;
+      !wire::decode_session_opened_body(reply->body, status, session_id) ||
+      status != wire::Status::kOk) {
     return std::nullopt;
   }
-  last_error_ = status;
-  if (status != wire::Status::kOk) return std::nullopt;
   return session_id;
 }
 

@@ -45,8 +45,7 @@ class GatewayClient {
                     std::uint64_t deadline_us = 0);
 
   /// Opens a streaming IMU track; the returned wire session id feeds
-  /// track()/close_session(). nullopt when the server refused (status
-  /// available via last_error()).
+  /// track()/close_session(). nullopt when the server refused.
   std::optional<std::uint64_t> open_session(const std::string& shard_key,
                                             const geo::Point2& start);
 
@@ -77,9 +76,6 @@ class GatewayClient {
   /// arrives while waiting fails the call (protocol confusion, not traffic).
   std::optional<std::pair<std::uint64_t, WireResult>> recv_fix(int timeout_ms = -1);
 
-  /// Last refusal status observed by open_session().
-  wire::Status last_error() const { return last_error_; }
-
   net::FrameSocket& socket() { return sock_; }
   bool valid() const { return sock_.valid(); }
 
@@ -91,7 +87,6 @@ class GatewayClient {
 
   net::FrameSocket sock_;
   std::uint64_t next_request_id_ = 1;
-  wire::Status last_error_ = wire::Status::kOk;
 };
 
 }  // namespace noble::gateway

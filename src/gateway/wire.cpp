@@ -53,25 +53,6 @@ Status from_submit_status(engine::SubmitStatus status) {
   return Status::kStopped;
 }
 
-engine::SubmitStatus to_submit_status(Status status) {
-  switch (status) {
-    case Status::kOk: return engine::SubmitStatus::kAccepted;
-    case Status::kQueueFull: return engine::SubmitStatus::kQueueFull;
-    case Status::kBadDimension: return engine::SubmitStatus::kBadDimension;
-    case Status::kNoSession: return engine::SubmitStatus::kNoSession;
-    case Status::kNoShard: return engine::SubmitStatus::kNoShard;
-    case Status::kExpired: return engine::SubmitStatus::kExpired;
-    case Status::kStopped: return engine::SubmitStatus::kStopped;
-    // Wire-only codes fold onto the nearest engine verdict: a lapsed
-    // deadline is an expiry, window backpressure is a full queue, and a
-    // wrong-artifact spill bounce means this peer cannot serve the shard.
-    case Status::kDeadlineExpired: return engine::SubmitStatus::kExpired;
-    case Status::kWindowFull: return engine::SubmitStatus::kQueueFull;
-    case Status::kWrongArtifact: return engine::SubmitStatus::kNoShard;
-  }
-  return engine::SubmitStatus::kStopped;
-}
-
 std::exception_ptr rejection_exception(Status status) {
   if (status == Status::kDeadlineExpired) {
     return std::make_exception_ptr(engine::DeadlineExpired());

@@ -14,9 +14,8 @@
 //
 // This header is also the one place the engine's SubmitStatus verdicts, the
 // wire Status codes and the client-side exception surface meet:
-// from_submit_status / to_submit_status are total inverse-ish maps (the
-// wire-only codes fold onto their nearest engine verdict on the way back),
-// and rejection_exception() is the single table every client reader uses to
+// from_submit_status is the total map from verdict to code, and
+// rejection_exception() is the single table every client reader uses to
 // turn a non-kOk fix status into the exception the harness counts. Fix
 // replies map once each way: encode_ready_fix_body (server: ready future ->
 // statused body) and decode_fix_reply + settle_fix (client: channel
@@ -85,11 +84,6 @@ const char* status_name(Status s);
 /// Engine admission verdict -> wire status. Total over SubmitStatus; the
 /// single map every server-side reply path uses.
 Status from_submit_status(engine::SubmitStatus status);
-
-/// Wire status -> nearest engine verdict (for targets that surface an
-/// engine-shaped API over a socket). Wire-only codes fold: kDeadlineExpired
-/// -> kExpired, kWindowFull -> kQueueFull, kWrongArtifact -> kNoShard.
-engine::SubmitStatus to_submit_status(Status status);
 
 /// Rejection that reached the client over the wire after admission-time
 /// accounting was no longer possible (a pipelined socket learns the verdict

@@ -1,8 +1,6 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "common/config.h"
 
@@ -10,27 +8,12 @@ namespace noble::obs {
 
 namespace {
 
-// SplitMix64 finalizer: a full-avalanche 64-bit mix, so consecutive
-// sequence numbers land uniformly in [0, 2^64).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 constexpr Mark kStageStart[kNumStages] = {Mark::kRecv,     Mark::kSubmit,
                                           Mark::kAdmitted, Mark::kDequeued,
                                           Mark::kAssembled, Mark::kComputed};
 constexpr Mark kStageEnd[kNumStages] = {Mark::kSubmit,    Mark::kAdmitted,
                                         Mark::kDequeued,  Mark::kAssembled,
                                         Mark::kComputed,  Mark::kResponded};
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -69,70 +52,7 @@ double Trace::e2e_us() const {
   return static_cast<double>(end - start) * 1e-3;
 }
 
-TraceRing::TraceRing(std::size_t capacity)
-    : slots_(round_up_pow2(capacity == 0 ? 1 : capacity)) {}
-
-void TraceRing::push(const TraceRecord& rec) {
-  const std::uint64_t pos = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[pos & (slots_.size() - 1)];
-  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  // Claim by moving seq to odd. A slot mid-write (odd) or lost CAS means a
-  // concurrent writer wrapped onto the same slot: drop, it has fresh data.
-  if ((seq & 1) != 0 ||
-      !slot.seq.compare_exchange_strong(seq, seq + 1, std::memory_order_acq_rel)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.id.store(rec.id, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kNumMarks; ++i) {
-    slot.marks[i].store(rec.marks_ns[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(seq + 2, std::memory_order_release);
-}
-
-std::vector<TraceRecord> TraceRing::snapshot() const {
-  std::vector<TraceRecord> out;
-  out.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    const std::uint64_t before = slot.seq.load(std::memory_order_acquire);
-    if (before == 0 || (before & 1) != 0) continue;  // empty or mid-write
-    TraceRecord rec;
-    rec.id = slot.id.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kNumMarks; ++i) {
-      rec.marks_ns[i] = slot.marks[i].load(std::memory_order_relaxed);
-    }
-    if (slot.seq.load(std::memory_order_acquire) != before) continue;  // torn
-    out.push_back(rec);
-  }
-  return out;
-}
-
-TraceConfig TraceConfig::from_env() {
-  TraceConfig config;
-  config.enabled = env_int("NOBLE_TRACE", 1) != 0;
-  config.sample_rate = env_double("NOBLE_TRACE_SAMPLE", 0.01);
-  config.slow_us =
-      static_cast<std::uint64_t>(std::max(0L, env_int("NOBLE_TRACE_SLOW_US", 0)));
-  config.seed = static_cast<std::uint64_t>(
-      env_int("NOBLE_TRACE_SEED", static_cast<long>(config.seed & 0x7fffffff)));
-  return config;
-}
-
-bool TraceSampler::decide(std::uint64_t seed, std::uint64_t n, double rate) {
-  if (rate <= 0.0) return false;
-  if (rate >= 1.0) return true;
-  // mix64 is uniform on [0, 2^64); compare against rate scaled to the same
-  // range. 2^64 as a double is exact (a power of two).
-  return static_cast<double>(mix64(seed ^ n)) < rate * 18446744073709551616.0;
-}
-
-void TraceSampler::configure(std::uint64_t seed, double rate) {
-  seed_ = seed;
-  rate_ = rate;
-  n_.store(0, std::memory_order_relaxed);
-}
-
-Tracer::Tracer(Registry& registry, std::size_t ring_capacity) : ring_(ring_capacity) {
+Tracer::Tracer(Registry& registry) {
   for (std::size_t i = 0; i < kNumStages; ++i) {
     stage_hist_[i] =
         &registry.histogram("noble_stage_latency_us", Histogram::latency_us(),
@@ -141,38 +61,21 @@ Tracer::Tracer(Registry& registry, std::size_t ring_capacity) : ring_(ring_capac
   e2e_hist_ = &registry.histogram("noble_trace_e2e_us", Histogram::latency_us());
   started_ = &registry.counter("noble_traces_started");
   finished_ = &registry.counter("noble_traces_finished");
-  sampled_ = &registry.counter("noble_traces_sampled");
-  slow_ = &registry.counter("noble_traces_slow");
-  configure(TraceConfig{});
 }
 
 Tracer& Tracer::global() {
   static Tracer* instance = [] {
     auto* t = new Tracer(Registry::global());
-    t->configure(TraceConfig::from_env());
+    t->set_enabled(env_int("NOBLE_TRACE", 1) != 0);
     return t;
   }();
   return *instance;
-}
-
-void Tracer::configure(const TraceConfig& config) {
-  std::lock_guard<std::mutex> lock(config_mu_);
-  config_ = config;
-  enabled_.store(config.enabled, std::memory_order_relaxed);
-  slow_ns_.store(config.slow_us * 1000, std::memory_order_relaxed);
-  sampler_.configure(config.seed, config.sample_rate);
-}
-
-TraceConfig Tracer::config() const {
-  std::lock_guard<std::mutex> lock(config_mu_);
-  return config_;
 }
 
 std::shared_ptr<Trace> Tracer::start(std::uint64_t id) {
   if (!enabled()) return nullptr;
   auto trace = std::make_shared<Trace>();
   trace->id = id;
-  trace->sampled = sampler_.next();
   started_->inc();
   return trace;
 }
@@ -185,33 +88,6 @@ void Tracer::finish(const Trace& trace) {
   const double e2e = trace.e2e_us();
   if (e2e >= 0.0) e2e_hist_->record(e2e);
   finished_->inc();
-
-  if (trace.sampled) {
-    TraceRecord rec;
-    rec.id = trace.id;
-    rec.marks_ns = trace.marks_ns;
-    ring_.push(rec);
-    sampled_->inc();
-  }
-
-  const std::uint64_t slow_ns = slow_ns_.load(std::memory_order_relaxed);
-  if (slow_ns > 0 && e2e >= 0.0 &&
-      e2e * 1e3 >= static_cast<double>(slow_ns)) {
-    slow_->inc();
-    char line[384];
-    int n = std::snprintf(line, sizeof line,
-                          "[noble.trace] slow request id=%llu e2e=%.1fus",
-                          static_cast<unsigned long long>(trace.id), e2e);
-    for (std::size_t i = 0; i < kNumStages && n > 0 &&
-                            static_cast<std::size_t>(n) < sizeof line;
-         ++i) {
-      const double us = trace.stage_us(static_cast<Stage>(i));
-      if (us < 0.0) continue;
-      n += std::snprintf(line + n, sizeof line - static_cast<std::size_t>(n),
-                         " %s=%.1fus", stage_name(static_cast<Stage>(i)), us);
-    }
-    std::fprintf(stderr, "%s\n", line);
-  }
 }
 
 }  // namespace noble::obs

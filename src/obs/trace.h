@@ -7,9 +7,7 @@
 // handler, or the bench harness for in-process runs) starts the trace and
 // attaches it to `SubmitOptions`; the tier that writes the response calls
 // `Tracer::finish`, which folds the stage durations into always-on
-// per-stage latency histograms in the metrics registry, pushes sampled
-// traces into a lock-free ring for inspection, and logs a full stage
-// breakdown for any request slower than the configured threshold.
+// per-stage latency histograms in the metrics registry.
 //
 // Synchronization: a Trace's marks are plain (non-atomic) words. Every
 // handoff between the threads that stamp them already carries a
@@ -18,11 +16,8 @@
 // needed. Tracing is observability only: it never changes when or where a
 // scan runs, and never its result (the bit-identity contract).
 //
-// Knobs (read once at first use of `Tracer::global()`):
-//   NOBLE_TRACE         tracing on/off (default 1; 0 ⇒ no traces allocated)
-//   NOBLE_TRACE_SAMPLE  fraction of traces kept in the ring (default 0.01)
-//   NOBLE_TRACE_SLOW_US slow-request log threshold in us (default 0 = off)
-//   NOBLE_TRACE_SEED    sampling hash seed (fixed default; determinism knob)
+// One knob, read once at first use of `Tracer::global()`:
+//   NOBLE_TRACE  tracing on/off (default 1; 0 ⇒ no traces allocated)
 #ifndef NOBLE_OBS_TRACE_H_
 #define NOBLE_OBS_TRACE_H_
 
@@ -30,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -76,7 +70,6 @@ const char* stage_name(Stage stage);
 /// stamped by whichever thread owns the request at that boundary.
 struct Trace {
   std::uint64_t id = 0;
-  bool sampled = false;
   /// True when a tier above the engine (the gateway) writes the response
   /// and must therefore stamp kResponded and call finish(); the engine
   /// finishes the trace itself otherwise.
@@ -103,120 +96,37 @@ struct Trace {
   double e2e_us() const;
 };
 
-/// A finished, sampled trace as stored in the ring: id + all marks, flat.
-struct TraceRecord {
-  std::uint64_t id = 0;
-  std::array<std::uint64_t, kNumMarks> marks_ns{};
-};
-
-/// Fixed-size lock-free ring of recent sampled traces. Writers claim a slot
-/// by sequence CAS (a writer that loses the race drops its record — the
-/// ring samples, it does not queue), stamp the payload through relaxed
-/// atomics, and publish with a release store; `snapshot()` skips slots
-/// caught mid-write. All payload accesses are atomic, so concurrent
-/// write/read is well-defined (and TSan-clean), merely possibly skipped.
-class TraceRing {
- public:
-  /// Capacity is rounded up to a power of two; default 1024 records.
-  explicit TraceRing(std::size_t capacity = 1024);
-
-  void push(const TraceRecord& rec);
-
-  /// All fully-published records, unordered. Concurrent pushes may be
-  /// missed or duplicated-by-overwrite; each returned record is internally
-  /// consistent.
-  std::vector<TraceRecord> snapshot() const;
-
-  std::size_t capacity() const { return slots_.size(); }
-  /// Records dropped to a slot-claim race (diagnostic, not an error).
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-
- private:
-  struct Slot {
-    // seq: 0 = never written; odd = write in progress; even > 0 = published.
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> id{0};
-    std::array<std::atomic<std::uint64_t>, kNumMarks> marks{};
-  };
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Runtime tracing configuration. `from_env()` reads the NOBLE_TRACE_*
-/// knobs; benches reconfigure programmatically (the overhead gate flips
-/// `enabled` with everything else held fixed).
-struct TraceConfig {
-  bool enabled = true;
-  double sample_rate = 0.01;     ///< fraction of traces pushed to the ring
-  std::uint64_t slow_us = 0;     ///< 0 disables the slow-request log
-  std::uint64_t seed = 0x6f62735f6e6f626cULL;  ///< sampling hash seed
-
-  static TraceConfig from_env();
-};
-
-/// Deterministic sampler: trace n is sampled iff mix64(seed ^ n) falls
-/// under rate · 2^64. The decision sequence is a pure function of (seed,
-/// counter), independent of thread interleaving — the property the
-/// determinism test in test_obs pins down.
-class TraceSampler {
- public:
-  /// Pure decision for sequence number `n` under (seed, rate).
-  static bool decide(std::uint64_t seed, std::uint64_t n, double rate);
-
-  void configure(std::uint64_t seed, double rate);
-  bool next() { return decide(seed_, n_.fetch_add(1, std::memory_order_relaxed), rate_); }
-
- private:
-  std::atomic<std::uint64_t> n_{0};
-  std::uint64_t seed_ = 0;
-  double rate_ = 0.0;
-};
-
-/// Factory + sink for traces. Owns the ring and the always-on per-stage
-/// histograms (`noble_stage_latency_us{stage=...}`, `noble_trace_e2e_us`)
-/// plus trace counters, all registered in the given `Registry`.
-/// Instantiable for tests; `global()` (lazily configured from env) is the
-/// one the serving stack uses.
+/// Factory + sink for traces. Owns the always-on per-stage histograms
+/// (`noble_stage_latency_us{stage=...}`, `noble_trace_e2e_us`) plus the
+/// started/finished counters, all registered in the given `Registry`.
+/// Instantiable for tests; `global()` (enabled per NOBLE_TRACE) is the one
+/// the serving stack uses.
 class Tracer {
  public:
-  explicit Tracer(Registry& registry, std::size_t ring_capacity = 1024);
+  explicit Tracer(Registry& registry);
 
   static Tracer& global();
 
-  /// Atomically swaps the runtime config and resets the sampling sequence
-  /// to 0 (so identical configs replay identical sampling decisions).
-  void configure(const TraceConfig& config);
-  TraceConfig config() const;
-
+  /// The one switch: disabled, start() hands out no traces.
+  void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// A fresh trace with the sampling decision taken, or nullptr when
-  /// tracing is disabled (the disabled hot path allocates nothing).
+  /// A fresh trace, or nullptr when tracing is disabled (the disabled hot
+  /// path allocates nothing).
   std::shared_ptr<Trace> start(std::uint64_t id);
 
-  /// Terminal sink: records every reached stage into its histogram, the
-  /// e2e span, ring-pushes sampled traces, and emits the slow-request log.
-  /// Call exactly once, after the final mark; traces of failed requests
-  /// may simply be dropped instead (their stages stay out of the
+  /// Terminal sink: records every reached stage into its histogram and the
+  /// e2e span. Call exactly once, after the final mark; traces of failed
+  /// requests may simply be dropped instead (their stages stay out of the
   /// histograms — stage latency describes served requests).
   void finish(const Trace& trace);
 
-  const TraceRing& ring() const { return ring_; }
-
  private:
-  mutable std::mutex config_mu_;
-  TraceConfig config_;
   std::atomic<bool> enabled_{true};
-  std::atomic<std::uint64_t> slow_ns_{0};
-  TraceSampler sampler_;
-  TraceRing ring_;
   std::array<HistogramMetric*, kNumStages> stage_hist_{};
   HistogramMetric* e2e_hist_ = nullptr;
   Counter* started_ = nullptr;
   Counter* finished_ = nullptr;
-  Counter* sampled_ = nullptr;
-  Counter* slow_ = nullptr;
 };
 
 }  // namespace noble::obs

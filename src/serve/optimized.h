@@ -24,10 +24,10 @@
 // tolerance-zero equivalence harness meaningful.
 //
 // Plans are immutable after construction and safe to share across threads
-// and replicas (engine backends share one plan via shared_ptr instead of
-// re-packing per clone). Passthrough steps borrow Layer pointers from the
-// source network: the network object may move (layers are heap-allocated,
-// their addresses are stable) but must outlive the plan.
+// (every worker of an engine serves from its backend's one plan).
+// Passthrough steps borrow Layer pointers from the source network: the
+// network object may move (layers are heap-allocated, their addresses are
+// stable) but must outlive the plan.
 #ifndef NOBLE_SERVE_OPTIMIZED_H_
 #define NOBLE_SERVE_OPTIMIZED_H_
 

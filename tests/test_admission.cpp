@@ -166,14 +166,9 @@ class SlowBackend final : public WifiBackend {
     return inner_.locate_batch(queries);
   }
   std::size_t input_dim() const override { return inner_.input_dim(); }
-  std::unique_ptr<WifiBackend> clone() const override {
-    return std::make_unique<SlowBackend>(inner_localizer(), nap_);
-  }
   std::string name() const override { return "slow-dense"; }
 
  private:
-  const serve::WifiLocalizer& inner_localizer() const { return reference_localizer(); }
-
   PlanBackend inner_;
   std::chrono::milliseconds nap_;
 };

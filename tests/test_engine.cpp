@@ -420,35 +420,17 @@ TEST(EngineSessions, ConcurrentSessionsMatchDirectTrackingSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// Backends: replicas behind the WifiBackend seam.
+// Backends: plans behind the WifiBackend seam.
 // ---------------------------------------------------------------------------
 
 constexpr PlanBackend::Precision kBothPrecisions[] = {PlanBackend::Precision::kFloat32,
                                                      PlanBackend::Precision::kInt8};
 
-TEST(EngineBackends, CloneAnswersBitIdenticallyToOriginal) {
-  const auto& localizer = reference_localizer();
-  const auto queries = query_pool(16);
-  ASSERT_FALSE(queries.empty());
-  for (const PlanBackend::Precision precision : kBothPrecisions) {
-    const PlanBackend original(localizer, precision);
-    const std::unique_ptr<WifiBackend> clone = original.clone();
-    EXPECT_EQ(original.input_dim(), localizer.num_aps());
-    EXPECT_EQ(clone->name(), original.name());
-    const auto a = original.locate_batch(queries);
-    const auto b = clone->locate_batch(queries);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(fixes_identical(a[i], b[i])) << original.name() << " query " << i;
-    }
-  }
-}
-
-// Satellite of the PR 6 kernel refactor: clone() must share one immutable
-// pre-packed plan — two shared_ptr copies, never a re-pack or
-// re-quantization. Checked two ways: the kernels::pack_operations() counter
-// stays flat across clones, and clone/original plan pointers compare equal.
-// The fp32 replica serves from the plan its localizer compiled at load.
+// An engine packs its plan once, however many workers serve from it.
+// Checked with the kernels::pack_operations() counter: building a 4-worker
+// engine packs exactly as much as a 1-worker one. The fp32 backend serves
+// from the plan its localizer compiled at load; int8 adds its one quantized
+// compile.
 TEST(EngineBackends, ClonesShareOnePackedPlanWithoutRequantizing) {
   const auto& localizer = reference_localizer();
   const PlanBackend dense(localizer);
@@ -458,20 +440,20 @@ TEST(EngineBackends, ClonesShareOnePackedPlanWithoutRequantizing) {
   EXPECT_EQ(dense.plan()->precision(), PlanBackend::Precision::kFloat32);
   EXPECT_EQ(quantized.plan()->precision(), PlanBackend::Precision::kInt8);
 
-  const std::uint64_t packs_before = kernels::pack_operations();
-  const std::unique_ptr<WifiBackend> dense_clone = dense.clone();
-  const std::unique_ptr<WifiBackend> quant_clone = quantized.clone();
-  EXPECT_EQ(kernels::pack_operations(), packs_before)
-      << "clone() packed or re-quantized weights";
-
-  const auto* dense_clone_typed = dynamic_cast<const PlanBackend*>(dense_clone.get());
-  ASSERT_NE(dense_clone_typed, nullptr);
-  EXPECT_EQ(dense_clone_typed->plan().get(), dense.plan().get());
-
-  const auto* quant_clone_typed = dynamic_cast<const PlanBackend*>(quant_clone.get());
-  ASSERT_NE(quant_clone_typed, nullptr);
-  EXPECT_EQ(quant_clone_typed->plan().get(), quantized.plan().get());
-  EXPECT_NE(quantized.plan().get(), dense.plan().get());
+  for (const PlanBackend::Precision precision : kBothPrecisions) {
+    const auto packs_for = [&](std::size_t workers) {
+      EngineConfig cfg;
+      cfg.workers = workers;
+      cfg.precision = precision;
+      const std::uint64_t before = kernels::pack_operations();
+      const Engine engine(localizer, cfg);
+      return kernels::pack_operations() - before;
+    };
+    const std::uint64_t one_worker = packs_for(1);
+    EXPECT_GT(one_worker, 0u) << precision_name(precision);
+    EXPECT_EQ(packs_for(4), one_worker)
+        << precision_name(precision) << ": extra workers packed or re-quantized weights";
+  }
 }
 
 TEST(EngineBackends, QuantizedEngineBitIdenticalToDirectQuantized) {
@@ -587,9 +569,6 @@ class GatedBackend final : public WifiBackend {
     return inner_.locate_batch(queries);
   }
   std::size_t input_dim() const override { return inner_.input_dim(); }
-  std::unique_ptr<WifiBackend> clone() const override {
-    return std::make_unique<GatedBackend>(reference_localizer(), gate_);
-  }
   std::string name() const override { return "gated-dense"; }
 
  private:
@@ -787,6 +766,14 @@ TEST(EngineNotify, ExpiryAndCloseSessionCallTheNotifier) {
     for (Submission& s : pending) EXPECT_THROW(s.result.get(), std::runtime_error);
   }
   for (std::size_t tag = 0; tag < 4; ++tag) EXPECT_EQ(probe.calls(tag), 1) << tag;
+  // Every accepted request is accounted for exactly once: three parkers
+  // served, two deadlines lapsed, two updates failed by close_session.
+  engine.shutdown();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.closed, 2u);
+  EXPECT_EQ(stats.interactive.closed, 2u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.expired + stats.closed);
+  EXPECT_EQ(stats.submitted, 7u);
 }
 
 TEST(EngineSessions, RegistryRejectsBadHandlesAndDimensions) {

@@ -436,6 +436,7 @@ TEST(FleetStats, LiveRouterTotalsAreTheSumOfShards) {
     EXPECT_EQ(s.submitted, s.interactive.accepted + s.bulk.accepted) << where;
     EXPECT_EQ(s.rejected, s.interactive.rejected + s.bulk.rejected) << where;
     EXPECT_EQ(s.expired, s.interactive.expired + s.bulk.expired) << where;
+    EXPECT_EQ(s.closed, s.interactive.closed + s.bulk.closed) << where;
   };
   expect_derived(stats.total, "total");
   for (const auto& [key, s] : stats.shards) expect_derived(s, key);

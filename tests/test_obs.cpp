@@ -1,16 +1,14 @@
-// Tests for noble::obs — metrics registry, exposition codecs, trace ring,
-// deterministic sampling, and the stage-clock invariants. Carries the
-// `concurrency` CTest label: several tests hammer instruments from real
-// threads so the TSan job exercises the striped/sharded/seqlock paths.
+// Tests for noble::obs — metrics registry, exposition codecs, and the
+// stage-clock invariants. Carries the `concurrency` CTest label: several
+// tests hammer instruments from real threads so the TSan job exercises the
+// striped/sharded/seqlock paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -295,142 +293,6 @@ TEST(ObsCodec, DecodeRejectsGarbage) {
   EXPECT_FALSE(decode_snapshot(bad).has_value());
 }
 
-// --- TraceRing ---------------------------------------------------------------
-
-TEST(ObsTraceRing, WraparoundKeepsLatestRecords) {
-  TraceRing ring(64);
-  ASSERT_EQ(ring.capacity(), 64u);
-  const std::uint64_t total = 3 * ring.capacity();
-  for (std::uint64_t i = 1; i <= total; ++i) {
-    TraceRecord rec;
-    rec.id = i;
-    rec.marks_ns[0] = i * 10;
-    ring.push(rec);
-  }
-  const std::vector<TraceRecord> snap = ring.snapshot();
-  EXPECT_EQ(snap.size(), ring.capacity());
-  // Single-writer pushes never race a slot claim: the survivors are exactly
-  // the last `capacity` ids, payload intact.
-  std::set<std::uint64_t> ids;
-  for (const TraceRecord& rec : snap) {
-    ids.insert(rec.id);
-    EXPECT_GT(rec.id, total - ring.capacity());
-    EXPECT_EQ(rec.marks_ns[0], rec.id * 10);
-  }
-  EXPECT_EQ(ids.size(), ring.capacity());
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(ObsTraceRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(TraceRing(1).capacity(), 1u);
-  EXPECT_EQ(TraceRing(3).capacity(), 4u);
-  EXPECT_EQ(TraceRing(1000).capacity(), 1024u);
-}
-
-TEST(ObsTraceRing, ConcurrentPushersNeverTearRecords) {
-  TraceRing ring(32);
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 8000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ring, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        TraceRecord rec;
-        rec.id = static_cast<std::uint64_t>(t) * kPerThread + i + 1;
-        for (std::size_t m = 0; m < kNumMarks; ++m) {
-          rec.marks_ns[m] = rec.id * 100 + m;
-        }
-        ring.push(rec);
-      }
-    });
-  }
-  // A reader snapshots continuously while writers wrap the ring many times
-  // over; every observed record must be internally consistent.
-  for (int i = 0; i < 300; ++i) {
-    for (const TraceRecord& rec : ring.snapshot()) {
-      for (std::size_t m = 0; m < kNumMarks; ++m) {
-        ASSERT_EQ(rec.marks_ns[m], rec.id * 100 + m) << "torn record observed";
-      }
-    }
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(ring.snapshot().size(), ring.capacity());
-}
-
-// --- Sampling determinism ----------------------------------------------------
-
-TEST(ObsSampler, DecideIsPureAndSeedSensitive) {
-  // Same (seed, n, rate) -> same decision, always.
-  Rng rng(2026);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t seed = rng.next_u64();
-    const std::uint64_t n = rng.next_u64() % 100000;
-    const double rate = rng.uniform();
-    EXPECT_EQ(TraceSampler::decide(seed, n, rate), TraceSampler::decide(seed, n, rate));
-  }
-  EXPECT_TRUE(TraceSampler::decide(1, 0, 1.0));
-  EXPECT_FALSE(TraceSampler::decide(1, 0, 0.0));
-}
-
-TEST(ObsSampler, EmpiricalRateTracksConfiguredRate) {
-  Rng rng(7);
-  for (const double rate : {0.01, 0.1, 0.5}) {
-    const std::uint64_t seed = rng.next_u64();
-    std::uint64_t kept = 0;
-    constexpr std::uint64_t kN = 100000;
-    for (std::uint64_t n = 0; n < kN; ++n) {
-      if (TraceSampler::decide(seed, n, rate)) ++kept;
-    }
-    const double empirical = static_cast<double>(kept) / kN;
-    EXPECT_NEAR(empirical, rate, 5.0 * std::sqrt(rate * (1.0 - rate) / kN))
-        << "rate " << rate;
-  }
-}
-
-TEST(ObsSampler, ConfigureReplaysIdenticalSequence) {
-  // configure() resets the sequence counter, so the same (seed, rate) must
-  // replay bit-identical decisions — the property benches rely on when they
-  // reconfigure between sweeps.
-  TraceSampler sampler;
-  sampler.configure(0xabcdef, 0.25);
-  std::vector<bool> first;
-  for (int i = 0; i < 1000; ++i) first.push_back(sampler.next());
-  sampler.configure(0xabcdef, 0.25);
-  std::vector<bool> second;
-  for (int i = 0; i < 1000; ++i) second.push_back(sampler.next());
-  EXPECT_EQ(first, second);
-}
-
-TEST(ObsTracer, SampledCountIsInterleavingIndependent) {
-  // The number of sampled traces over N starts depends only on (seed, rate,
-  // N) — not on which threads called start(). Run the same workload twice
-  // with different thread counts and compare.
-  auto run = [](int threads, std::uint64_t per_thread) {
-    Registry reg;
-    Tracer tracer(reg, 64);
-    TraceConfig cfg;
-    cfg.sample_rate = 0.2;
-    cfg.seed = 12345;
-    tracer.configure(cfg);
-    std::atomic<std::uint64_t> sampled{0};
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&tracer, &sampled, per_thread] {
-        for (std::uint64_t i = 0; i < per_thread; ++i) {
-          std::shared_ptr<Trace> trace = tracer.start(i);
-          if (trace != nullptr && trace->sampled) {
-            sampled.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (auto& th : pool) th.join();
-    return sampled.load();
-  };
-  EXPECT_EQ(run(1, 4000), run(4, 1000));
-  EXPECT_EQ(run(2, 2000), run(4, 1000));
-}
-
 // --- Trace stage clock -------------------------------------------------------
 
 Trace make_full_trace(Rng& rng, bool with_recv) {
@@ -482,17 +344,10 @@ TEST(ObsTrace, UnreachedMarksYieldNegativeStages) {
 
 TEST(ObsTracer, FinishFeedsStageHistogramsAndRing) {
   Registry reg;
-  Tracer tracer(reg, 64);
-  TraceConfig cfg;
-  cfg.sample_rate = 1.0;  // every trace rings
-  tracer.configure(cfg);
+  Tracer tracer(reg);
   Rng rng(555);
   constexpr int kTraces = 50;
-  for (int i = 0; i < kTraces; ++i) {
-    Trace trace = make_full_trace(rng, true);
-    trace.sampled = true;
-    tracer.finish(trace);
-  }
+  for (int i = 0; i < kTraces; ++i) tracer.finish(make_full_trace(rng, true));
   const MetricsSnapshot snap = reg.collect();
   for (std::size_t s = 0; s < kNumStages; ++s) {
     const MetricSample* sample = snap.find(
@@ -508,15 +363,12 @@ TEST(ObsTracer, FinishFeedsStageHistogramsAndRing) {
   const MetricSample* finished = snap.find("noble_traces_finished");
   ASSERT_NE(finished, nullptr);
   EXPECT_EQ(finished->counter_value, static_cast<std::uint64_t>(kTraces));
-  EXPECT_EQ(tracer.ring().snapshot().size(), static_cast<std::size_t>(kTraces));
 }
 
 TEST(ObsTracer, DisabledTracerAllocatesNothing) {
   Registry reg;
   Tracer tracer(reg);
-  TraceConfig cfg;
-  cfg.enabled = false;
-  tracer.configure(cfg);
+  tracer.set_enabled(false);
   EXPECT_FALSE(tracer.enabled());
   EXPECT_EQ(tracer.start(1), nullptr);
 }
@@ -525,8 +377,7 @@ TEST(ObsTracer, StageHistogramsOmitUnreachedStages) {
   // An in-process trace (no kRecv) must not contribute a bogus decode
   // sample; only stages with both endpoints stamped are recorded.
   Registry reg;
-  Tracer tracer(reg, 16);
-  tracer.configure(TraceConfig{});
+  Tracer tracer(reg);
   Rng rng(808);
   tracer.finish(make_full_trace(rng, /*with_recv=*/false));
   const MetricsSnapshot snap = reg.collect();
