@@ -9,12 +9,13 @@
 //  4. drop the v2 artifact into the watched model directory and drive one
 //     watcher pass: the coordinator canaries one node, verifies probe
 //     bit-identity, then commits the fleet — both routers must converge
-//     onto v2's digest,
-//  5. stop node B: its heartbeats cease, the coordinator marks it dead,
-//     and node A's spill stops targeting it.
+//     onto v2's digest.
 //
 // Exits non-zero on any gate miss, so the smoke tier doubles as an
-// end-to-end cluster check.
+// end-to-end cluster check. Heartbeat-loss death detection is gated by
+// ClusterMembership.HeartbeatLossMarksANodeDeadAndSpillStopsTargetingIt in
+// tests/test_cluster.cpp, which parks the worker so its flood overflows
+// deterministically.
 //
 // Run: ./example_cluster_demo
 #include <chrono>
@@ -97,7 +98,6 @@ int main() {
       (std::filesystem::temp_directory_path() / "noble_cluster_demo").string();
   std::filesystem::create_directories(model_dir);
   cluster::CoordinatorConfig coord_cfg;
-  coord_cfg.dead_after_ms = 400;
   coord_cfg.poll_ms = 0;
   coord_cfg.model_dir = model_dir;
   cluster::Coordinator coordinator(coord_cfg);
@@ -206,38 +206,11 @@ int main() {
     return 1;
   }
 
-  // 5. Death: stop node B; the coordinator's next liveness verdict marks it
-  // dead and node A's spill has no target left.
-  node_b->stop();
-  const bool marked_dead = wait_until([&] {
-    if (sees_alive_peer(*node_a, "node-b")) return false;
-    for (const auto& member : coordinator.members()) {
-      if (member.name == "node-b") return !member.alive;
-    }
-    return false;
-  });
-  const std::uint64_t forwarded_before = node_a->counters().spill_forwarded;
-  std::size_t rejected = 0;
-  for (std::size_t i = 0; i < 64; ++i) {
-    engine::Submission sub = node_a->submit("bldg-A", queries[i % queries.size()], bulk);
-    if (sub.accepted()) {
-      (void)sub.result;  // settles on drain; the gate is the verdict mix below
-    } else {
-      ++rejected;
-    }
-  }
-  const bool spill_stopped = node_a->counters().spill_forwarded == forwarded_before;
-  std::printf("death: node-b marked dead %s; post-death flood: %zu explicit "
-              "kQueueFull, spill delta 0 %s\n",
-              marked_dead ? "yes" : "NO", rejected, spill_stopped ? "yes" : "NO");
   node_a->stop();
+  node_b->stop();
   coordinator.stop();
   std::filesystem::remove_all(model_dir);
-  if (!marked_dead || !spill_stopped || rejected == 0) {
-    std::printf("FAIL: death-detection gate\n");
-    return 1;
-  }
 
-  std::printf("\nOK: spill, rollout and death gates all held\n");
+  std::printf("\nOK: spill and rollout gates held\n");
   return 0;
 }

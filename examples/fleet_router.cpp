@@ -1,25 +1,20 @@
 // Fleet tour — one campus, many buildings, one router:
 //  1. train a NObLe Wi-Fi model on a synthetic campus,
-//  2. stand up a noble::fleet::Router with two shards: "bldg-A" serving
-//     the fp32 plan, "bldg-B" serving the int8 plan with two replica
-//     engines,
+//  2. stand up a noble::fleet::Router with two shards: "bldg-A" on one
+//     two-worker engine, "bldg-B" on two single-worker replica engines,
 //  3. route every test scan to both shards,
-//  4. gate: every "bldg-A" fix must be bit-identical to direct locate();
-//     every "bldg-B" fix must be bit-identical to direct quantized
-//     inference (the per-precision equivalence contract), then print the
-//     merged FleetStats surface.
+//  4. gate: every fix from either shard must be bit-identical to direct
+//     locate(), then print the merged FleetStats surface.
 //
 // Exits non-zero on any mismatch, so the smoke tier doubles as an
 // end-to-end router-vs-direct equivalence check.
 //
 // Run: ./example_fleet_router
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/noble_wifi.h"
-#include "engine/backend.h"
 #include "fleet/router.h"
 #include "serve/wifi_localizer.h"
 
@@ -57,17 +52,12 @@ int main() {
   shard_b.engines = 2;  // kQueueFull spills to the sibling replica engine
   shard_b.engine.workers = 1;
   shard_b.engine.max_batch = 16;
-  shard_b.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
   router.add_shard(shard_b, localizer);
-
-  // Direct int8 reference for the equivalence gate.
-  const engine::PlanBackend quantized_reference(
-      localizer, serve::OptimizedNetwork::Precision::kInt8);
 
   std::vector<serve::RssiVector> queries;
   for (const auto& sample : experiment.split.test.samples)
     queries.push_back(sample.rssi);
-  std::printf("routing %zu scans to 2 shards (dense / quantized x2)...\n",
+  std::printf("routing %zu scans to 2 shards (1 engine / 2 engines)...\n",
               queries.size());
 
   // 3 + 4. Route everything, gate against direct inference per shard.
@@ -87,13 +77,12 @@ int main() {
     if (!(fix == expected)) ++mismatched;
   };
   for (const auto& q : queries) {
-    gate("bldg-A", q, localizer.locate(q));
-    gate("bldg-B", q,
-         quantized_reference.locate_batch(std::span(&q, 1)).front());
+    const serve::Fix expected = localizer.locate(q);
+    gate("bldg-A", q, expected);
+    gate("bldg-B", q, expected);
   }
   std::printf("equivalence: %zu fixes checked, %zu mismatches%s\n", checked,
-              mismatched,
-              mismatched == 0 ? " (routed == direct, per precision)" : "");
+              mismatched, mismatched == 0 ? " (routed == direct)" : "");
 
   const fleet::FleetStats stats = router.stats();
   std::printf("\nfleet telemetry (%zu shards, %zu engines):\n", stats.shards.size(),

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "fleet/router.h"
 #include "gateway/wire.h"
 #include "net/socket.h"
 #include "serve/artifact.h"
@@ -201,16 +200,14 @@ void Coordinator::scan_model_dir() {
     if (digest == 0) continue;
     // Roll only when an alive member still serves this shard on different
     // weights — first scans of an already-converged fleet are no-ops, and
-    // late joiners with stale artifacts get picked up on later polls. A
-    // heartbeat digest is precision-tagged for int8 shards, so the check is
-    // serves_model(), not digest equality.
+    // late joiners with stale artifacts get picked up on later polls.
     bool divergent = false;
     {
       std::lock_guard<std::mutex> lock(members_mu_);
       for (const proto::NodeInfo& member : membership_locked()) {
         if (!member.alive) continue;
         for (const proto::ShardState& state : member.shards) {
-          if (state.key == shard && !fleet::serves_model(state.digest, digest)) {
+          if (state.key == shard && state.digest != digest) {
             divergent = true;
           }
         }

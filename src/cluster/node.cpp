@@ -435,12 +435,10 @@ void NodeAgent::serve_rollout(net::ServerConn& conn, const net::Frame& frame) {
     refuse(wire::Status::kNoShard, "unknown shard");
     return;
   }
-  if (fleet::serves_model(*current, cmd.digest)) {
+  if (*current == cmd.digest) {
     // Idempotent: re-commanding the model a shard already serves must not
     // churn engines (and would invalidate sticky sessions for nothing) —
-    // the commit stage sweeps every node, canary included. cmd.digest is
-    // the bare model digest; an int8 shard advertises it precision-tagged,
-    // and serves_model() accepts both.
+    // the commit stage sweeps every node, canary included.
     report.status = static_cast<std::uint32_t>(wire::Status::kOk);
     report.digest = cmd.digest;
     report.message = "already serving this artifact";

@@ -1,9 +1,6 @@
 #include "core/quantize.h"
 
-#include <cmath>
-
 #include "common/check.h"
-#include "nn/dense.h"
 
 namespace noble::core {
 
@@ -149,50 +146,6 @@ DecodedPrediction SpaceQuantizer::decode_hierarchical(const LabelLayout& layout,
   if (best >= 0) {
     out.fine_class = best;
     out.position = fine_.center(best);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Weight quantization for serving backends.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Rounds to the nearest int8, clamped to the symmetric range [-127, 127]
-/// (the -128 slot is unused so the range stays symmetric around zero).
-std::int8_t round_to_int8(float scaled) {
-  const long r = std::lround(scaled);
-  if (r > 127) return 127;
-  if (r < -127) return -127;
-  return static_cast<std::int8_t>(r);
-}
-
-}  // namespace
-
-QuantizedDense quantize_dense(const nn::Dense& layer) {
-  const linalg::Mat& w = layer.weights();  // (in x out), row-major
-  const linalg::Mat& b = layer.bias();
-  QuantizedDense out;
-  out.in_dim = layer.in_dim();
-  out.out_dim = layer.out();
-  out.weights.assign(out.in_dim * out.out_dim, 0);
-  out.scales.assign(out.out_dim, 0.0f);
-  out.bias.assign(b.row(0), b.row(0) + out.out_dim);
-  for (std::size_t j = 0; j < out.out_dim; ++j) {
-    float max_abs = 0.0f;
-    for (std::size_t k = 0; k < out.in_dim; ++k) {
-      const float a = std::fabs(w(k, j));
-      if (a > max_abs) max_abs = a;
-    }
-    if (max_abs == 0.0f) continue;  // all-zero column: weights stay 0
-    const float scale = max_abs / 127.0f;
-    out.scales[j] = scale;
-    const float inv_scale = 127.0f / max_abs;
-    std::int8_t* col = out.weights.data() + j * out.in_dim;
-    for (std::size_t k = 0; k < out.in_dim; ++k) {
-      col[k] = round_to_int8(w(k, j) * inv_scale);
-    }
   }
   return out;
 }

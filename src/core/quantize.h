@@ -1,5 +1,4 @@
-// NObLe space quantization and multi-label target assembly (§III-B, §IV-A),
-// plus int8 weight quantization for the serving backends.
+// NObLe space quantization and multi-label target assembly (§III-B, §IV-A).
 //
 // The output layer of a NObLe model is the concatenation of label blocks:
 //   [ buildings | floors | fine classes c | coarse classes r ]
@@ -7,26 +6,13 @@
 // owns the geometry-to-label mapping: fitting the grid quantizers, building
 // multi-hot target matrices (optionally with adjacency soft labels), and
 // decoding predicted logits back to (building, floor, position).
-//
-// The second half of the module quantizes the *network* rather than the
-// space: per-output-channel symmetric int8 weights, which the serving plan
-// compiler (serve::OptimizedNetwork, Precision::kInt8) packs and runs with a
-// per-row dynamic activation scale. Per-row activation scaling is what
-// makes that path batch-invariant: a query's logits do not depend on what
-// else was coalesced into its micro-batch, which is the property the
-// engine equivalence harness checks.
 #ifndef NOBLE_CORE_QUANTIZE_H_
 #define NOBLE_CORE_QUANTIZE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "geo/grid.h"
 #include "linalg/matrix.h"
-
-namespace noble::nn {
-class Dense;
-}  // namespace noble::nn
 
 namespace noble::core {
 
@@ -131,24 +117,6 @@ class SpaceQuantizer {
   std::vector<int> fine_to_coarse_;
   bool fitted_ = false;
 };
-
-// ---------------------------------------------------------------------------
-// Weight quantization for serving backends.
-// ---------------------------------------------------------------------------
-
-/// One dense layer quantized to int8: per-output-channel symmetric weight
-/// scales, float bias. Weights are stored column-major (weights[col * in_dim
-/// + k]) so the integer dot products walk contiguous memory.
-struct QuantizedDense {
-  std::size_t in_dim = 0;
-  std::size_t out_dim = 0;
-  std::vector<std::int8_t> weights;  ///< column-major, out_dim x in_dim
-  std::vector<float> scales;         ///< per-output-channel dequantization scale
-  std::vector<float> bias;           ///< float bias added after dequantization
-};
-
-/// Quantizes a fitted dense layer's weights (symmetric, per output channel).
-QuantizedDense quantize_dense(const nn::Dense& layer);
 
 }  // namespace noble::core
 

@@ -22,7 +22,7 @@ double micros_between(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 Engine::Engine(const serve::WifiLocalizer& wifi, EngineConfig config)
-    : Engine(std::make_unique<PlanBackend>(wifi, config.precision), config) {}
+    : Engine(std::make_unique<PlanBackend>(wifi), config) {}
 
 Engine::Engine(std::unique_ptr<WifiBackend> backend, EngineConfig config)
     : config_(config),

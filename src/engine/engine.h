@@ -11,10 +11,10 @@
 //      └──────────── std::future<Fix> fulfilled per micro-batch
 //
 // Requests are coalesced up to a max batch size and executed on a worker
-// pool that shares one WifiBackend (see engine/backend.h: one compiled
-// plan, fp32 by default or int8, immutable so there are no locks on the
-// hot path). Output is bit-identical to direct inference on the same
-// backend for every request regardless of how requests get batched.
+// pool that shares one WifiBackend (see engine/backend.h: one compiled fp32
+// plan, immutable so there are no locks on the hot path). Output is
+// bit-identical to direct inference on the same backend for every request
+// regardless of how requests get batched.
 //
 // Admission control is class- and deadline-aware. Every submission carries
 // a RequestClass — kInteractive (a user is waiting) or kBulk (background
@@ -170,11 +170,6 @@ struct EngineConfig {
   /// Most not-yet-processed segments one tracking session may buffer before
   /// its submissions are rejected with kQueueFull.
   std::size_t session_backlog = 64;
-  /// Arithmetic of the backend's compiled plan (fp32, or int8 quantized);
-  /// ignored by the backend-injection constructor, which receives its
-  /// backend directly.
-  serve::OptimizedNetwork::Precision precision =
-      serve::OptimizedNetwork::Precision::kFloat32;
 };
 
 /// Per-class admission/latency telemetry. Merge()-able like everything
@@ -252,8 +247,8 @@ using SessionId = std::uint64_t;
 
 class Engine {
  public:
-  /// Wi-Fi-only engine: builds one PlanBackend at config.precision over a
-  /// deep copy of `wifi` and starts the pool.
+  /// Wi-Fi-only engine: builds one PlanBackend over a deep copy of `wifi`
+  /// and starts the pool.
   explicit Engine(const serve::WifiLocalizer& wifi, EngineConfig config = {});
 
   /// Engine that additionally serves streaming IMU sessions. The single
@@ -264,7 +259,7 @@ class Engine {
 
   /// Backend-injection constructor: every worker serves from `backend`.
   /// This is the seam custom forward paths (tests, future accelerator
-  /// backends) plug into; config.precision is ignored.
+  /// backends) plug into.
   explicit Engine(std::unique_ptr<WifiBackend> backend, EngineConfig config = {});
 
   /// Drains and joins (see shutdown()).
@@ -322,9 +317,6 @@ class Engine {
   /// everywhere anyway. Same cost as queue_depth() — one queue lock.
   std::size_t queue_depth(RequestClass cls) const { return queue_.depth(cls); }
   std::size_t num_aps() const { return backend_->input_dim(); }
-  /// Name of the backend the workers run ("dense", "quantized", or
-  /// whatever an injected backend reports).
-  std::string backend_name() const { return backend_->name(); }
   bool has_imu() const { return imu_.has_value(); }
 
  private:

@@ -32,18 +32,6 @@ std::size_t primary_engine(const serve::RssiVector& rssi, std::size_t num_engine
 
 }  // namespace
 
-std::uint64_t shard_digest(std::uint64_t model_digest,
-                           serve::OptimizedNetwork::Precision precision) {
-  return precision == serve::OptimizedNetwork::Precision::kInt8
-             ? common::fnv1a64("precision:int8", model_digest)
-             : model_digest;
-}
-
-bool serves_model(std::uint64_t digest, std::uint64_t model_digest) {
-  return digest == model_digest ||
-         digest == shard_digest(model_digest, serve::OptimizedNetwork::Precision::kInt8);
-}
-
 bool Router::add_shard(const ShardConfig& config, const serve::WifiLocalizer& wifi) {
   if (config.key.empty() || config.engines == 0) return false;
   std::shared_ptr<Shard> shard = build_shard(config, wifi, nullptr);
@@ -67,7 +55,7 @@ std::shared_ptr<Router::Shard> Router::build_shard(const ShardConfig& config,
   // The shard's artifact identity is derived from the localizers, never
   // trusted from the caller's config: a wifi-only shard is its wifi digest,
   // a wifi+imu shard chains the imu digest onto it (order fixed, so the
-  // combined identity is stable); shard_digest() then tags the precision.
+  // combined identity is stable).
   std::uint64_t model_digest = wifi.artifact_digest();
   if (imu != nullptr) {
     const std::uint64_t imu_digest = imu->artifact_digest();
@@ -75,7 +63,7 @@ std::shared_ptr<Router::Shard> Router::build_shard(const ShardConfig& config,
         std::string_view(reinterpret_cast<const char*>(&imu_digest), sizeof imu_digest),
         model_digest);
   }
-  shard->config.artifact_digest = shard_digest(model_digest, config.engine.precision);
+  shard->config.artifact_digest = model_digest;
   shard->generation = next_generation_.fetch_add(1);
   shard->engines.reserve(config.engines);
   for (std::size_t i = 0; i < config.engines; ++i) {

@@ -49,27 +49,14 @@ struct ShardConfig {
   std::string key;
   /// Engines replicating this shard's model; > 1 adds kQueueFull headroom.
   std::size_t engines = 1;
-  /// Per-engine knobs (precision, batching, workers).
+  /// Per-engine knobs (workers, batching, queue caps).
   engine::EngineConfig engine;
   /// Content identity of the model artifact(s) this shard serves. Filled by
-  /// the router at add_shard/hot_swap as shard_digest() of the localizers'
-  /// digest (callers never set it): the value two nodes compare to decide
-  /// whether a spilled request lands on a replica that answers
-  /// bit-identically.
+  /// the router at add_shard/hot_swap from the localizers' digests (callers
+  /// never set it): the value two nodes compare to decide whether a spilled
+  /// request lands on a replica that answers bit-identically.
   std::uint64_t artifact_digest = 0;
 };
-
-/// The digest a shard serving `model_digest` at `precision` advertises. The
-/// digest names the fixes a shard serves, not only its weights: an int8
-/// shard answers differently from an fp32 shard of the same model, so it
-/// chains a precision tag on (fp32 digests stay the bare model digest).
-std::uint64_t shard_digest(std::uint64_t model_digest,
-                           serve::OptimizedNetwork::Precision precision);
-
-/// True when a shard advertising `digest` serves the model `model_digest`
-/// at either precision. Model identity, not spill compatibility: rollout
-/// convergence asks this, since a rollout keeps each shard's precision.
-bool serves_model(std::uint64_t digest, std::uint64_t model_digest);
 
 /// Handle for one streaming IMU session opened through the router. Sticky:
 /// bound to the shard generation and engine that admitted it.

@@ -262,6 +262,7 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
   out.counter("noble_fleet_completed", stats.total.completed);
   out.counter("noble_fleet_rejected", stats.total.rejected);
   out.counter("noble_fleet_expired", stats.total.expired);
+  out.counter("noble_fleet_closed", stats.total.closed);
   out.counter("noble_fleet_batches", stats.total.batches);
   out.counter("noble_fleet_imu_batches", stats.total.imu_batches);
   // Scheduler instruments: coalescing widths plus the measured per-request
@@ -278,6 +279,7 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
     out.counter(prefix + "_accepted", cs.accepted);
     out.counter(prefix + "_rejected", cs.rejected);
     out.counter(prefix + "_expired", cs.expired);
+    out.counter(prefix + "_closed", cs.closed);
     // Per-class lane depth as a labeled split of noble_fleet_queue_depth,
     // matching the per-engine {shard,engine} split below.
     out.gauge_int("noble_fleet_queue_depth", cs.queue_depth,

@@ -7,8 +7,7 @@
 // output elements per ymm register, each still accumulating its own k terms
 // in strictly ascending order. That makes every output element's operation
 // sequence identical to the scalar reference, so the results are bit-equal at
-// every batch size. int8 dots accumulate in exact integer arithmetic, where
-// order is free (epi8 -> epi16 widen, _mm256_madd_epi16 pairwise to int32).
+// every batch size.
 //
 // When the toolchain cannot build AVX2 (NOBLE_KERNELS_AVX2 undefined) the
 // bodies collapse to aborting stubs; dispatch never selects them then.
@@ -20,22 +19,8 @@
 #include <immintrin.h>
 
 #include <cstring>
-#include <vector>
 
 namespace noble::kernels::detail {
-
-namespace {
-
-/// Horizontal sum of eight int32 lanes — exact, order-free.
-inline std::int32_t hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
-
-}  // namespace
 
 void dense_forward_avx2(const float* x, std::size_t m, std::size_t k,
                         std::size_t ldx, const float* w, std::size_t n,
@@ -115,91 +100,6 @@ void dense_forward_packed_avx2(const float* x, std::size_t m, std::size_t ldx,
   }
 }
 
-void quantized_forward_avx2(const float* x, std::size_t m, std::size_t k,
-                            std::size_t ldx, const std::int8_t* w,
-                            std::size_t wstride, const float* scales,
-                            std::size_t n, const Epilogue& ep, float* y,
-                            std::size_t ldy) {
-  std::vector<std::int8_t> qrow(wstride);
-  std::vector<std::int32_t> acc(n);
-  // Packed weights (wstride % 16 == 0) have zero pad lanes on both sides, so
-  // the 16-lane loop covers the whole column; unpacked ragged k falls back to
-  // a scalar integer tail. Either way the sum is exact, so the loop structure
-  // below is free to widen the activation row once and block over columns —
-  // int32 addition is associative, unlike the fp32 path above.
-  const std::size_t kv = wstride % 16 == 0 ? wstride : k & ~std::size_t{15};
-  std::vector<std::int16_t> q16(kv);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* xi = x + i * ldx;
-    float* yi = y + i * ldy;
-    const float row_scale = quantize_row_int8(xi, k, wstride, qrow.data());
-    // Widen the quantized row to int16 once; every column's madd reuses it
-    // instead of re-converting per column.
-    for (std::size_t p = 0; p < kv; p += 16) {
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(q16.data() + p),
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(qrow.data() + p))));
-    }
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {  // 4-column block: one row load feeds 4 madds
-      const std::int8_t* c0 = w + (j + 0) * wstride;
-      const std::int8_t* c1 = w + (j + 1) * wstride;
-      const std::int8_t* c2 = w + (j + 2) * wstride;
-      const std::int8_t* c3 = w + (j + 3) * wstride;
-      __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-      __m256i a2 = _mm256_setzero_si256(), a3 = _mm256_setzero_si256();
-      for (std::size_t p = 0; p < kv; p += 16) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(q16.data() + p));
-        a0 = _mm256_add_epi32(
-            a0, _mm256_madd_epi16(va, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(c0 + p)))));
-        a1 = _mm256_add_epi32(
-            a1, _mm256_madd_epi16(va, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(c1 + p)))));
-        a2 = _mm256_add_epi32(
-            a2, _mm256_madd_epi16(va, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(c2 + p)))));
-        a3 = _mm256_add_epi32(
-            a3, _mm256_madd_epi16(va, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(c3 + p)))));
-      }
-      std::int32_t s0 = hsum_epi32(a0), s1 = hsum_epi32(a1);
-      std::int32_t s2 = hsum_epi32(a2), s3 = hsum_epi32(a3);
-      for (std::size_t p = kv; p < k; ++p) {
-        const std::int32_t qa = qrow[p];
-        s0 += qa * static_cast<std::int32_t>(c0[p]);
-        s1 += qa * static_cast<std::int32_t>(c1[p]);
-        s2 += qa * static_cast<std::int32_t>(c2[p]);
-        s3 += qa * static_cast<std::int32_t>(c3[p]);
-      }
-      acc[j + 0] = s0;
-      acc[j + 1] = s1;
-      acc[j + 2] = s2;
-      acc[j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const std::int8_t* col = w + j * wstride;
-      __m256i vacc = _mm256_setzero_si256();
-      for (std::size_t p = 0; p < kv; p += 16) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(q16.data() + p));
-        const __m256i vb = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + p)));
-        vacc = _mm256_add_epi32(vacc, _mm256_madd_epi16(va, vb));
-      }
-      std::int32_t s = hsum_epi32(vacc);
-      for (std::size_t p = kv; p < k; ++p) {
-        s += static_cast<std::int32_t>(qrow[p]) * static_cast<std::int32_t>(col[p]);
-      }
-      acc[j] = s;
-    }
-    dequantize_row(acc.data(), row_scale, scales, n, yi);
-    apply_epilogue_row(yi, n, ep);
-  }
-}
-
 }  // namespace noble::kernels::detail
 
 namespace noble::kernels {
@@ -221,11 +121,6 @@ void dense_forward_avx2(const float*, std::size_t, std::size_t, std::size_t,
 void dense_forward_packed_avx2(const float*, std::size_t, std::size_t,
                                const PackedDense&, const Epilogue&, float*,
                                std::size_t) {
-  std::abort();
-}
-void quantized_forward_avx2(const float*, std::size_t, std::size_t, std::size_t,
-                            const std::int8_t*, std::size_t, const float*,
-                            std::size_t, const Epilogue&, float*, std::size_t) {
   std::abort();
 }
 

@@ -7,9 +7,9 @@
 // hardware without it clamps to scalar so dispatch can never select an
 // implementation that would fault.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 #include "kernels/internal.h"
@@ -107,23 +107,6 @@ PackedDense pack_dense(const linalg::Mat& w) {
   return p;
 }
 
-PackedQuantized pack_quantized(const QuantizedView& w) {
-  NOBLE_EXPECTS(w.weights != nullptr && w.scales != nullptr);
-  constexpr std::size_t A = PackedQuantized::kKAlign;
-  PackedQuantized p;
-  p.in_dim_ = w.in_dim;
-  p.out_dim_ = w.out_dim;
-  p.padded_in_ = (w.in_dim + A - 1) / A * A;
-  p.data_.assign(p.out_dim_ * p.padded_in_, 0);
-  p.scales_.assign(w.scales, w.scales + w.out_dim);
-  for (std::size_t j = 0; j < p.out_dim_; ++j) {
-    std::memcpy(p.data_.data() + j * p.padded_in_, w.weights + j * w.in_dim,
-                w.in_dim);
-  }
-  g_pack_ops.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-
 // ---------------------------------------------------------------------------
 // Dispatched entry points.
 // ---------------------------------------------------------------------------
@@ -168,36 +151,6 @@ void gemm(const linalg::Mat& a, const linalg::Mat& b, linalg::Mat& c,
     detail::dense_forward_scalar(a.data(), a.rows(), a.cols(), a.cols(),
                                  b.data(), b.cols(), accumulate, ep, c.data(),
                                  c.cols());
-  }
-}
-
-void quantized_forward(const linalg::Mat& x, const QuantizedView& w,
-                       const Epilogue& ep, linalg::Mat& y) {
-  NOBLE_EXPECTS(x.cols() == w.in_dim);
-  y.resize(x.rows(), w.out_dim);
-  if (active_isa() == Isa::kAvx2) {
-    detail::quantized_forward_avx2(x.data(), x.rows(), w.in_dim, x.cols(),
-                                   w.weights, w.in_dim, w.scales, w.out_dim, ep,
-                                   y.data(), y.cols());
-  } else {
-    detail::quantized_forward_scalar(x.data(), x.rows(), w.in_dim, x.cols(),
-                                     w.weights, w.in_dim, w.scales, w.out_dim,
-                                     ep, y.data(), y.cols());
-  }
-}
-
-void quantized_forward(const linalg::Mat& x, const PackedQuantized& w,
-                       const Epilogue& ep, linalg::Mat& y) {
-  NOBLE_EXPECTS(x.cols() == w.in_dim());
-  y.resize(x.rows(), w.out_dim());
-  if (active_isa() == Isa::kAvx2) {
-    detail::quantized_forward_avx2(x.data(), x.rows(), w.in_dim(), x.cols(),
-                                   w.column(0), w.padded_in(), w.scales(),
-                                   w.out_dim(), ep, y.data(), y.cols());
-  } else {
-    detail::quantized_forward_scalar(x.data(), x.rows(), w.in_dim(), x.cols(),
-                                     w.column(0), w.padded_in(), w.scales(),
-                                     w.out_dim(), ep, y.data(), y.cols());
   }
 }
 

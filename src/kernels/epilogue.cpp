@@ -4,24 +4,10 @@
 // discipline inside the per-ISA bodies.
 
 #include <cmath>
-#include <cstring>
 
 #include "kernels/internal.h"
 
 namespace noble::kernels::detail {
-
-namespace {
-
-/// Rounds to the nearest int8, clamped to the symmetric range [-127, 127] —
-/// the exact core::quantize rounding (lround: half away from zero).
-std::int8_t round_to_int8(float scaled) {
-  const long r = std::lround(scaled);
-  if (r > 127) return 127;
-  if (r < -127) return -127;
-  return static_cast<std::int8_t>(r);
-}
-
-}  // namespace
 
 void apply_epilogue_row(float* y, std::size_t n, const Epilogue& ep) {
   if (ep.bias != nullptr) {
@@ -47,30 +33,6 @@ void apply_epilogue_row(float* y, std::size_t n, const Epilogue& ep) {
     case Activation::kSigmoid:
       for (std::size_t j = 0; j < n; ++j) y[j] = 1.0f / (1.0f + std::exp(-y[j]));
       break;
-  }
-}
-
-float quantize_row_int8(const float* x, std::size_t k, std::size_t padded_k,
-                        std::int8_t* q) {
-  float max_abs = 0.0f;
-  for (std::size_t p = 0; p < k; ++p) {
-    const float a = std::fabs(x[p]);
-    if (a > max_abs) max_abs = a;
-  }
-  if (padded_k > k) std::memset(q + k, 0, padded_k - k);
-  if (max_abs == 0.0f) {
-    std::memset(q, 0, k);
-    return 0.0f;
-  }
-  const float inv_row_scale = 127.0f / max_abs;
-  for (std::size_t p = 0; p < k; ++p) q[p] = round_to_int8(x[p] * inv_row_scale);
-  return max_abs / 127.0f;
-}
-
-void dequantize_row(const std::int32_t* acc, float row_scale, const float* scales,
-                    std::size_t n, float* y) {
-  for (std::size_t j = 0; j < n; ++j) {
-    y[j] = static_cast<float>(acc[j]) * (row_scale * scales[j]);
   }
 }
 

@@ -1,38 +1,22 @@
 // Implementation-side seams of noble::kernels.
 //
 // The per-ISA GEMM bodies live in their own translation units (scalar.cpp,
-// avx2.cpp — the latter compiled with -mavx2); everything that must round
-// identically on every path — epilogues, int8 row quantization, dequant —
-// lives in epilogue.cpp, compiled exactly once, so both ISAs call literally
-// the same machine code for the non-GEMM work.
+// avx2.cpp — the latter compiled with -mavx2); the epilogue, which must round
+// identically on every path, lives in epilogue.cpp, compiled exactly once, so
+// both ISAs call literally the same machine code for the non-GEMM work.
 #ifndef NOBLE_KERNELS_INTERNAL_H_
 #define NOBLE_KERNELS_INTERNAL_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "kernels/kernels.h"
 
 namespace noble::kernels::detail {
 
-// --- shared, compiled-once numeric helpers (epilogue.cpp) ------------------
+// --- shared, compiled-once epilogue (epilogue.cpp) -------------------------
 
 /// Applies bias add, folded batch-norm, then activation to one output row.
 void apply_epilogue_row(float* y, std::size_t n, const Epilogue& ep);
-
-/// Quantizes one input row to int8 by its own max-abs (symmetric, round
-/// half-away-from-zero via lround — kept scalar on purpose: SSE rounding is
-/// half-to-even and would diverge). Zero rows quantize to all-zero with a
-/// returned row scale of 0. Lanes [k, padded_k) are zero-filled so padded
-/// integer dots are exact. Returns the row's dequantization scale.
-float quantize_row_int8(const float* x, std::size_t k, std::size_t padded_k,
-                        std::int8_t* q);
-
-/// Dequantizes one row of int32 accumulators: y[j] = acc[j] * (row_scale *
-/// scales[j]) — the int8 dequantization expression, bias left to the
-/// epilogue.
-void dequantize_row(const std::int32_t* acc, float row_scale, const float* scales,
-                    std::size_t n, float* y);
 
 // --- per-ISA GEMM bodies ---------------------------------------------------
 // Rows of x/y are addressed with explicit leading dimensions (ldx/ldy) so the
@@ -47,13 +31,6 @@ void dense_forward_scalar(const float* x, std::size_t m, std::size_t k,
 void dense_forward_packed_scalar(const float* x, std::size_t m, std::size_t ldx,
                                  const PackedDense& w, const Epilogue& ep,
                                  float* y, std::size_t ldy);
-/// wstride is the stride between weight columns (== k unpacked, padded_in
-/// packed; always >= k, pad lanes zero).
-void quantized_forward_scalar(const float* x, std::size_t m, std::size_t k,
-                              std::size_t ldx, const std::int8_t* w,
-                              std::size_t wstride, const float* scales,
-                              std::size_t n, const Epilogue& ep, float* y,
-                              std::size_t ldy);
 
 // AVX2 twins; stubs that abort when NOBLE_KERNELS_AVX2 was not compiled
 // (dispatch never selects them in that build).
@@ -64,11 +41,6 @@ void dense_forward_avx2(const float* x, std::size_t m, std::size_t k,
 void dense_forward_packed_avx2(const float* x, std::size_t m, std::size_t ldx,
                                const PackedDense& w, const Epilogue& ep,
                                float* y, std::size_t ldy);
-void quantized_forward_avx2(const float* x, std::size_t m, std::size_t k,
-                            std::size_t ldx, const std::int8_t* w,
-                            std::size_t wstride, const float* scales,
-                            std::size_t n, const Epilogue& ep, float* y,
-                            std::size_t ldy);
 
 }  // namespace noble::kernels::detail
 

@@ -1,11 +1,9 @@
 // noble::kernels — the runtime-dispatched compute layer under every backend.
 //
 // Every forward pass in the stack (training-time Dense::infer, the serving
-// localizers, the engine's dense and quantized replicas) bottoms out in the
-// same two primitives: an fp32 GEMM/GEMV with a fused bias + batch-norm +
-// activation epilogue, and an int8 quantized GEMM with per-output-channel
-// weight scales and per-row dynamic activation scales. This module owns both,
-// in two interchangeable implementations:
+// localizers, the engine's replicas) bottoms out in one primitive: an fp32
+// GEMM/GEMV with a fused bias + batch-norm + activation epilogue. This module
+// owns it, in two interchangeable implementations:
 //
 //   scalar   the reference — plain k-ascending mul/add loops, the numeric
 //            contract every other implementation must hit bit-for-bit
@@ -20,17 +18,14 @@
 //   - multiply and add stay separate operations (no FMA contraction — the
 //     AVX2 translation unit is compiled without -mfma, and the whole library
 //     pins -ffp-contract=off), so each op rounds exactly like the scalar op;
-//   - epilogues (bias, folded batch-norm, activation) and int8 row
-//     quantization/dequantization run through shared helpers compiled once,
-//     so both ISAs execute literally the same code for them;
-//   - integer accumulation (int8 GEMM) is exact, so vector order is free.
+//   - epilogues (bias, folded batch-norm, activation) run through a shared
+//     helper compiled once, so both ISAs execute literally the same code.
 // Rows are processed independently, which keeps every kernel batch-invariant:
 // a query's output does not depend on what else was coalesced into its batch.
 //
-// Weight pre-packing. `PackedDense` / `PackedQuantized` re-lay weights into
-// tile-friendly blocked form once at load time (column panels the width of
-// the SIMD tile, contiguous over k), so the serving hot loop walks memory
-// linearly. Packing only permutes storage — packed and unpacked kernels are
+// Weight pre-packing. `PackedDense` re-lays weights into tile-friendly
+// blocked form once at load time (column panels the width of the SIMD tile,
+// contiguous over k), so the serving hot loop walks memory linearly. Packing only permutes storage — packed and unpacked kernels are
 // bit-identical by the ordering contract above.
 //
 // Dispatch is resolved once at startup from CPUID, overridable with the
@@ -83,7 +78,7 @@ std::optional<Isa> parse_isa(std::string_view value);
 void apply_env_override();
 
 /// Count of weight-packing operations performed process-wide — the test hook
-/// for the "replicas share packed weights, clones never re-pack" contract.
+/// for the "an engine's workers share one packed plan" contract.
 std::uint64_t pack_operations();
 
 // ---------------------------------------------------------------------------
@@ -147,48 +142,6 @@ class PackedDense {
 /// Packs a row-major (in_dim x out_dim) weight matrix once at load time.
 PackedDense pack_dense(const linalg::Mat& w);
 
-/// Borrowed view of unpacked int8 dense weights: column-major (one panel of
-/// in_dim weights per output channel) with per-output-channel scales — the
-/// storage layout core::QuantizedDense already uses.
-struct QuantizedView {
-  const std::int8_t* weights = nullptr;  ///< out_dim panels of in_dim
-  const float* scales = nullptr;         ///< per-output-channel dequant scale
-  std::size_t in_dim = 0;
-  std::size_t out_dim = 0;
-};
-
-/// int8 weights re-laid with each column panel zero-padded to a multiple of
-/// kKAlign so the 16-lane integer dot loop needs no tail handling. Owns its
-/// storage (scales included) — the immutable pre-packed weight set replicas
-/// share via shared_ptr.
-class PackedQuantized {
- public:
-  static constexpr std::size_t kKAlign = 16;
-
-  PackedQuantized() = default;
-
-  std::size_t in_dim() const { return in_dim_; }
-  std::size_t out_dim() const { return out_dim_; }
-  std::size_t padded_in() const { return padded_in_; }
-  const std::int8_t* column(std::size_t j) const {
-    return data_.data() + j * padded_in_;
-  }
-  const float* scales() const { return scales_.data(); }
-  std::size_t bytes() const {
-    return data_.size() * sizeof(std::int8_t) + scales_.size() * sizeof(float);
-  }
-  bool empty() const { return data_.empty(); }
-
- private:
-  friend PackedQuantized pack_quantized(const QuantizedView& w);
-  std::size_t in_dim_ = 0, out_dim_ = 0, padded_in_ = 0;
-  std::vector<std::int8_t> data_;
-  std::vector<float> scales_;
-};
-
-/// Packs unpacked int8 weights once at load time.
-PackedQuantized pack_quantized(const QuantizedView& w);
-
 // ---------------------------------------------------------------------------
 // Dispatched kernels. All are deterministic, batch-invariant, and
 // bit-identical across ISAs and across packed/unpacked layouts.
@@ -209,17 +162,6 @@ void dense_forward(const linalg::Mat& x, const PackedDense& w, const Epilogue& e
 /// gemm_acc backing — same zero-skip, k-ascending semantics those always had.
 void gemm(const linalg::Mat& a, const linalg::Mat& b, linalg::Mat& c,
           bool accumulate);
-
-/// int8 quantized forward with per-row dynamic activation scales: each input
-/// row is quantized to int8 by its own max-abs, accumulated in int32 against
-/// the int8 weights, dequantized per output channel, then the epilogue runs.
-/// Rows are independent — deterministic and batch-invariant.
-void quantized_forward(const linalg::Mat& x, const QuantizedView& w,
-                       const Epilogue& ep, linalg::Mat& y);
-
-/// Same contract over pre-packed int8 weights.
-void quantized_forward(const linalg::Mat& x, const PackedQuantized& w,
-                       const Epilogue& ep, linalg::Mat& y);
 
 }  // namespace noble::kernels
 

@@ -1,11 +1,10 @@
 // Scalar reference kernels. These loops ARE the numeric contract: plain
 // k-ascending mul/add per output element (the historical linalg::gemm i-k-j
-// order, zero-skip included), int32 dots for int8. Every other implementation
-// must match them bit for bit.
+// order, zero-skip included). Every other implementation must match them bit
+// for bit.
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "kernels/internal.h"
 
@@ -50,30 +49,6 @@ void dense_forward_packed_scalar(const float* x, std::size_t m, std::size_t ldx,
       const std::size_t cols = std::min(T, n - base);
       for (std::size_t c = 0; c < cols; ++c) yi[base + c] = acc[c];
     }
-    apply_epilogue_row(yi, n, ep);
-  }
-}
-
-void quantized_forward_scalar(const float* x, std::size_t m, std::size_t k,
-                              std::size_t ldx, const std::int8_t* w,
-                              std::size_t wstride, const float* scales,
-                              std::size_t n, const Epilogue& ep, float* y,
-                              std::size_t ldy) {
-  std::vector<std::int8_t> qrow(wstride);
-  std::vector<std::int32_t> acc(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* xi = x + i * ldx;
-    float* yi = y + i * ldy;
-    const float row_scale = quantize_row_int8(xi, k, wstride, qrow.data());
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int8_t* col = w + j * wstride;
-      std::int32_t s = 0;
-      for (std::size_t p = 0; p < k; ++p) {
-        s += static_cast<std::int32_t>(qrow[p]) * static_cast<std::int32_t>(col[p]);
-      }
-      acc[j] = s;
-    }
-    dequantize_row(acc.data(), row_scale, scales, n, yi);
     apply_epilogue_row(yi, n, ep);
   }
 }

@@ -147,12 +147,10 @@ Registry::Instrument& Registry::find_or_create(std::string name, Labels labels, 
   inst->name = std::move(name);
   inst->labels = std::move(labels);
   inst->kind = kind;
-  switch (kind) {
-    case Kind::kCounter: inst->counter = std::make_unique<Counter>(); break;
-    case Kind::kGauge: inst->gauge = std::make_unique<Gauge>(); break;
-    case Kind::kHistogram:
-      inst->hist = std::make_unique<HistogramMetric>(*layout);
-      break;
+  if (kind == Kind::kCounter) {
+    inst->counter = std::make_unique<Counter>();
+  } else {
+    inst->hist = std::make_unique<HistogramMetric>(*layout);
   }
   instruments_.push_back(std::move(inst));
   return *instruments_.back();
@@ -163,63 +161,31 @@ Counter& Registry::counter(std::string name, Labels labels) {
               .counter;
 }
 
-Gauge& Registry::gauge(std::string name, Labels labels) {
-  return *find_or_create(std::move(name), std::move(labels), Kind::kGauge, nullptr).gauge;
-}
-
 HistogramMetric& Registry::histogram(std::string name, const Histogram& layout,
                                      Labels labels) {
   return *find_or_create(std::move(name), std::move(labels), Kind::kHistogram, &layout)
               .hist;
 }
 
-std::uint64_t Registry::add_collector(std::function<void(MetricsSnapshot&)> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t id = next_collector_id_++;
-  collectors_.emplace_back(id, std::move(fn));
-  return id;
-}
-
-void Registry::remove_collector(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = collectors_.begin(); it != collectors_.end(); ++it) {
-    if (it->first == id) {
-      collectors_.erase(it);
-      return;
-    }
-  }
-}
-
 MetricsSnapshot Registry::collect() const {
   // Sample instruments outside the registry lock: instruments are never
-  // removed and the vector only grows, but collector callbacks may re-enter
-  // (a collector scraping a router that lazily registers a gauge), so copy
-  // the stable views first, then drop the lock.
+  // removed and the vector only grows, so copy the stable views first, then
+  // drop the lock and let registration proceed during the scrape.
   std::vector<const Instrument*> instruments;
-  std::vector<std::function<void(MetricsSnapshot&)>> collectors;
   {
     std::lock_guard<std::mutex> lock(mu_);
     instruments.reserve(instruments_.size());
     for (const auto& inst : instruments_) instruments.push_back(inst.get());
-    collectors.reserve(collectors_.size());
-    for (const auto& [id, fn] : collectors_) collectors.push_back(fn);
   }
   MetricsSnapshot out;
   out.samples.reserve(instruments.size());
   for (const Instrument* inst : instruments) {
-    switch (inst->kind) {
-      case Kind::kCounter:
-        out.counter(inst->name, inst->counter->value(), inst->labels);
-        break;
-      case Kind::kGauge:
-        out.gauge(inst->name, inst->gauge->value(), inst->labels);
-        break;
-      case Kind::kHistogram:
-        out.histogram(inst->name, inst->hist->snapshot(), inst->labels);
-        break;
+    if (inst->kind == Kind::kCounter) {
+      out.counter(inst->name, inst->counter->value(), inst->labels);
+    } else {
+      out.histogram(inst->name, inst->hist->snapshot(), inst->labels);
     }
   }
-  for (const auto& fn : collectors) fn(out);
   return out;
 }
 

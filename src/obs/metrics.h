@@ -1,19 +1,21 @@
 // noble::obs — the unified metrics layer every serving tier reports into.
 //
-// Three instrument kinds cover the stack's telemetry:
+// Two instrument kinds cover the stack's registered telemetry:
 //  * Counter   — monotonic event totals (requests, rejections, expiries).
 //    Increments land on a thread-striped array of cache-line-separated
 //    atomics, so the hot path is one relaxed fetch_add with no sharing
 //    between submitter threads; `value()` folds the stripes on the (cold)
 //    scrape path.
-//  * Gauge     — a point-in-time level (queue depth, inflight window).
 //  * HistogramMetric — a sharded `noble::Histogram` (distribution of
 //    latencies / batch sizes) with per-shard locking so concurrent
 //    `record()` calls from worker threads rarely contend.
+// Point-in-time levels (queue depths, latency quantiles) are not
+// instruments: whoever owns the state writes them into a snapshot as gauge
+// samples at scrape time.
 //
 // A `Registry` owns named instruments keyed by (name, label set) and turns
-// them — plus any registered collector callbacks — into a `MetricsSnapshot`:
-// a flat, ordered list of samples that renders to either exposition format:
+// them into a `MetricsSnapshot`: a flat, ordered list of samples that
+// renders to either exposition format:
 //  * `render_prometheus`  — the plaintext scrape page (`name{k="v"} value`),
 //    field-compatible with the former hand-assembled `Gateway::stats_text`;
 //  * `encode_snapshot` / `decode_snapshot` — a versioned binary image on the
@@ -32,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -82,22 +83,6 @@ class Counter {
   }
 
   Stripe stripes_[kStripes];
-};
-
-/// Point-in-time level. `set` is a plain store; `add` is a CAS loop (works
-/// on every toolchain regardless of std::atomic<double>::fetch_add support).
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Distribution instrument: a `noble::Histogram` striped across shards,
@@ -165,11 +150,11 @@ struct MetricsSnapshot {
   const MetricSample* find(std::string_view name, const Labels& labels) const;
 };
 
-/// Owner of named instruments plus collector callbacks. Instantiable for
-/// tests; `global()` is the process-wide instance where process-lifetime
-/// instruments (the tracer's stage histograms) live.
+/// Owner of named instruments. Instantiable for tests; `global()` is the
+/// process-wide instance where process-lifetime instruments (the tracer's
+/// stage histograms) live.
 ///
-/// `counter`/`gauge`/`histogram` register on first use and return the same
+/// `counter`/`histogram` register on first use and return the same
 /// instrument for the same (name, labels) thereafter — callers keep the
 /// returned reference and hit it lock-free. Kind collisions on a name+label
 /// key are a programming error (checked).
@@ -182,19 +167,11 @@ class Registry {
   static Registry& global();
 
   Counter& counter(std::string name, Labels labels = {});
-  Gauge& gauge(std::string name, Labels labels = {});
   HistogramMetric& histogram(std::string name, const Histogram& layout, Labels labels = {});
 
-  /// Registers a callback that appends samples at collect() time — for
-  /// values that only exist as derived state (a struct snapshot, a remote
-  /// view). Returns an id for remove_collector.
-  std::uint64_t add_collector(std::function<void(MetricsSnapshot&)> fn);
-  void remove_collector(std::uint64_t id);
-
-  /// Samples every registered instrument (registration order), then runs
-  /// collectors (registration order). Each instrument is read at its own
-  /// instant — the snapshot is a consistent *per-instrument* view, not a
-  /// global atomic cut.
+  /// Samples every registered instrument (registration order). Each
+  /// instrument is read at its own instant — the snapshot is a consistent
+  /// *per-instrument* view, not a global atomic cut.
   MetricsSnapshot collect() const;
 
  private:
@@ -203,7 +180,6 @@ class Registry {
     Labels labels;
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<HistogramMetric> hist;
   };
 
@@ -212,8 +188,6 @@ class Registry {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Instrument>> instruments_;
-  std::vector<std::pair<std::uint64_t, std::function<void(MetricsSnapshot&)>>> collectors_;
-  std::uint64_t next_collector_id_ = 1;
 };
 
 /// Prometheus-style text exposition. Counters and integer gauges render as

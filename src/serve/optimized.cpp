@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "core/quantize.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/dense.h"
@@ -44,8 +43,7 @@ kernels::BnFold fold_batchnorm(const nn::BatchNorm1d& bn, std::size_t dim) {
 
 }  // namespace
 
-OptimizedNetwork::OptimizedNetwork(const nn::Sequential& net, Precision precision)
-    : precision_(precision) {
+OptimizedNetwork::OptimizedNetwork(const nn::Sequential& net) {
   NOBLE_EXPECTS(net.layer_count() > 0);
   const std::size_t count = net.layer_count();
   for (std::size_t i = 0; i < count; ++i) {
@@ -78,24 +76,11 @@ OptimizedNetwork::OptimizedNetwork(const nn::Sequential& net, Precision precisio
         ++i;
       }
     }
-    if (precision_ == Precision::kFloat32) {
-      step.packed = kernels::pack_dense(dense->weights());
-      stats_.packed_bytes += step.packed.bytes();
-    } else {
-      const core::QuantizedDense q = core::quantize_dense(*dense);
-      kernels::QuantizedView view;
-      view.weights = q.weights.data();
-      view.scales = q.scales.data();
-      view.in_dim = q.in_dim;
-      view.out_dim = q.out_dim;
-      step.qpacked = kernels::pack_quantized(view);
-      stats_.packed_bytes += step.qpacked.bytes();
-    }
+    step.packed = kernels::pack_dense(dense->weights());
+    stats_.packed_bytes += step.packed.bytes();
     ++stats_.fused_dense;
     steps_.push_back(std::move(step));
   }
-  // An int8 plan with no dense layer has no GEMM to quantize.
-  NOBLE_ENSURES(precision_ == Precision::kFloat32 || stats_.fused_dense >= 1);
 }
 
 linalg::Mat OptimizedNetwork::predict(const linalg::Mat& x) const {
@@ -113,20 +98,15 @@ linalg::Mat OptimizedNetwork::predict(const linalg::Mat& x) const {
       ep.bias = step.bias.data();
       ep.bn = step.bn.has_value() ? &*step.bn : nullptr;
       ep.act = step.act;
-      if (precision_ == Precision::kFloat32) {
-        kernels::dense_forward(in, step.packed, ep, next);
-      } else {
-        kernels::quantized_forward(in, step.qpacked, ep, next);
-      }
+      kernels::dense_forward(in, step.packed, ep, next);
     }
     std::swap(cur, next);
   }
   return cur;
 }
 
-std::shared_ptr<const OptimizedNetwork> optimize_network(
-    const nn::Sequential& net, OptimizedNetwork::Precision precision) {
-  return std::make_shared<const OptimizedNetwork>(net, precision);
+std::shared_ptr<const OptimizedNetwork> optimize_network(const nn::Sequential& net) {
+  return std::make_shared<const OptimizedNetwork>(net);
 }
 
 }  // namespace noble::serve

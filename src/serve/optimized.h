@@ -16,12 +16,10 @@
 //     channel and applies gamma*(v - mean)*inv_std + beta — the literal
 //     BatchNorm1d::infer expression — after the GEMM.
 //   - Fused activations run the literal activation-layer expressions.
-// `predict` is therefore bit-identical to running the original Sequential
-// (fp32 plans), or to the layer-by-layer int8 reference — every Dense via
-// core::quantize_dense and the unpacked kernels::quantized_forward, every
-// other layer via Layer::infer (int8 plans). That is what lets the serving
-// stack adopt plans with zero training-code changes and keeps the engine's
-// tolerance-zero equivalence harness meaningful.
+// `predict` is therefore bit-identical to running the original Sequential.
+// That is what lets the serving stack adopt plans with zero training-code
+// changes and keeps the engine's tolerance-zero equivalence harness
+// meaningful.
 //
 // Plans are immutable after construction and safe to share across threads
 // (every worker of an engine serves from its backend's one plan).
@@ -49,28 +47,20 @@ struct OptimizedStats {
   std::size_t folded_batchnorm = 0;    ///< BatchNorm1d folded into epilogues
   std::size_t fused_activations = 0;   ///< activations fused into epilogues
   std::size_t passthrough_layers = 0;  ///< layers served via Layer::infer
-  std::size_t packed_bytes = 0;        ///< pre-packed weight storage (+scales)
+  std::size_t packed_bytes = 0;        ///< pre-packed weight storage
 };
 
 /// Immutable fused/pre-packed serving plan. See the file comment for the
 /// exactness contract.
 class OptimizedNetwork {
  public:
-  /// Arithmetic the plan's Dense steps run in.
-  enum class Precision {
-    kFloat32,  ///< packed fp32 GEMM — bit-identical to Sequential::predict
-    kInt8,     ///< packed int8 GEMM — bit-identical to the unpacked int8 kernel
-  };
-
-  /// Compiles a plan from a fitted network. For kInt8 the network must
-  /// contain at least one Dense layer (there is nothing to quantize
-  /// otherwise). The network must outlive the plan.
-  OptimizedNetwork(const nn::Sequential& net, Precision precision);
+  /// Compiles a plan from a fitted network. The network must outlive the
+  /// plan.
+  explicit OptimizedNetwork(const nn::Sequential& net);
 
   /// Runs the plan. Thread-safe, deterministic, batch-invariant.
   linalg::Mat predict(const linalg::Mat& x) const;
 
-  Precision precision() const { return precision_; }
   const OptimizedStats& stats() const { return stats_; }
 
  private:
@@ -78,22 +68,19 @@ class OptimizedNetwork {
   /// epilogue) or a borrowed passthrough layer.
   struct Step {
     const nn::Layer* passthrough = nullptr;  ///< set => run Layer::infer
-    kernels::PackedDense packed;             ///< fp32 weights (kFloat32)
-    kernels::PackedQuantized qpacked;        ///< int8 weights (kInt8)
+    kernels::PackedDense packed;
     std::vector<float> bias;
     std::optional<kernels::BnFold> bn;
     kernels::Activation act = kernels::Activation::kNone;
   };
 
-  Precision precision_;
   std::vector<Step> steps_;
   OptimizedStats stats_;
 };
 
 /// Builds a shared immutable plan — the form the serving stack passes around
 /// (localizer plus every replica clone hold the same pointer).
-std::shared_ptr<const OptimizedNetwork> optimize_network(
-    const nn::Sequential& net, OptimizedNetwork::Precision precision);
+std::shared_ptr<const OptimizedNetwork> optimize_network(const nn::Sequential& net);
 
 }  // namespace noble::serve
 

@@ -11,7 +11,7 @@ namespace noble::serve {
 
 WifiLocalizer::WifiLocalizer(core::NobleWifiModel model) : model_(std::move(model)) {
   NOBLE_EXPECTS(model_.fitted());
-  plan_ = optimize_network(model_.network(), OptimizedNetwork::Precision::kFloat32);
+  plan_ = optimize_network(model_.network());
   // Serialized-artifact bytes are the canonical identity: a loaded artifact
   // and its in-memory original digest identically, and retraining (new
   // weights) always changes the bytes.

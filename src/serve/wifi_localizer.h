@@ -43,13 +43,9 @@ class WifiLocalizer {
   std::vector<Fix> locate_batch(std::span<const RssiVector> queries) const;
 
   /// Stacks raw scans into the normalized feature matrix the network
-  /// consumes. Public so alternate forward paths (the engine's backend
-  /// replicas) share the exact featurization of the float path.
+  /// consumes. Public so per-layer measurements can time the plan alone on
+  /// the exact featurization `locate_batch` feeds it.
   linalg::Mat featurize(std::span<const RssiVector> queries) const;
-
-  /// Decodes one row of output logits into a Fix — the other half of the
-  /// shared backend plumbing. `logits` must have layout().total() entries.
-  Fix decode_logits(const float* logits) const;
 
   /// Expected scan width (access-point count the model was fitted on).
   std::size_t num_aps() const { return model_.input_dim(); }
@@ -66,11 +62,14 @@ class WifiLocalizer {
 
   /// The load-time-optimized fp32 execution plan (BN-folded, fused,
   /// pre-packed) `locate` / `locate_batch` run through — bit-identical to
-  /// the raw network by the OptimizedNetwork exactness contract. Shared so
-  /// engine replicas can serve from one immutable packed weight set.
+  /// the raw network by the OptimizedNetwork exactness contract.
   std::shared_ptr<const OptimizedNetwork> plan() const { return plan_; }
 
  private:
+  /// Decodes one row of output logits into a Fix. `logits` must have
+  /// layout().total() entries.
+  Fix decode_logits(const float* logits) const;
+
   core::NobleWifiModel model_;
   // Built once at construction (the serving "load_model optimization pass");
   // borrows only heap-stable layer state, so moving the localizer is safe.

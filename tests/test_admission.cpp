@@ -166,7 +166,6 @@ class SlowBackend final : public WifiBackend {
     return inner_.locate_batch(queries);
   }
   std::size_t input_dim() const override { return inner_.input_dim(); }
-  std::string name() const override { return "slow-dense"; }
 
  private:
   PlanBackend inner_;

@@ -423,106 +423,21 @@ TEST(EngineSessions, ConcurrentSessionsMatchDirectTrackingSessions) {
 // Backends: plans behind the WifiBackend seam.
 // ---------------------------------------------------------------------------
 
-constexpr PlanBackend::Precision kBothPrecisions[] = {PlanBackend::Precision::kFloat32,
-                                                     PlanBackend::Precision::kInt8};
-
 // An engine packs its plan once, however many workers serve from it.
 // Checked with the kernels::pack_operations() counter: building a 4-worker
-// engine packs exactly as much as a 1-worker one. The fp32 backend serves
-// from the plan its localizer compiled at load; int8 adds its one quantized
-// compile.
-TEST(EngineBackends, ClonesShareOnePackedPlanWithoutRequantizing) {
+// engine packs exactly as much as a 1-worker one.
+TEST(EngineBackends, WorkersShareOnePackedPlan) {
   const auto& localizer = reference_localizer();
-  const PlanBackend dense(localizer);
-  const PlanBackend quantized(localizer, PlanBackend::Precision::kInt8);
-  EXPECT_EQ(dense.name(), "dense");
-  EXPECT_EQ(quantized.name(), "quantized");
-  EXPECT_EQ(dense.plan()->precision(), PlanBackend::Precision::kFloat32);
-  EXPECT_EQ(quantized.plan()->precision(), PlanBackend::Precision::kInt8);
-
-  for (const PlanBackend::Precision precision : kBothPrecisions) {
-    const auto packs_for = [&](std::size_t workers) {
-      EngineConfig cfg;
-      cfg.workers = workers;
-      cfg.precision = precision;
-      const std::uint64_t before = kernels::pack_operations();
-      const Engine engine(localizer, cfg);
-      return kernels::pack_operations() - before;
-    };
-    const std::uint64_t one_worker = packs_for(1);
-    EXPECT_GT(one_worker, 0u) << precision_name(precision);
-    EXPECT_EQ(packs_for(4), one_worker)
-        << precision_name(precision) << ": extra workers packed or re-quantized weights";
-  }
-}
-
-TEST(EngineBackends, QuantizedEngineBitIdenticalToDirectQuantized) {
-  const auto& localizer = reference_localizer();
-  const PlanBackend reference(localizer, PlanBackend::Precision::kInt8);
-  const auto queries = query_pool(64);
-  ASSERT_FALSE(queries.empty());
-  std::vector<serve::Fix> expected;
-  expected.reserve(queries.size());
-  for (const auto& q : queries) {
-    expected.push_back(reference.locate_batch(std::span(&q, 1)).front());
-  }
-
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.max_batch = 16;
-  cfg.queue_cap = 4096;
-  cfg.precision = PlanBackend::Precision::kInt8;
-  Engine engine(localizer, cfg);
-  EXPECT_EQ(engine.backend_name(), "quantized");
-
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 120;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      std::mt19937 rng(static_cast<unsigned>(7000 + c));
-      std::uniform_int_distribution<std::size_t> pick(0, queries.size() - 1);
-      for (int r = 0; r < kPerClient; ++r) {
-        const std::size_t q = pick(rng);
-        Submission s = engine.submit(queries[q]);
-        while (s.status == SubmitStatus::kQueueFull) {
-          std::this_thread::yield();
-          s = engine.submit(queries[q]);
-        }
-        ASSERT_TRUE(s.accepted());
-        if (!fixes_identical(s.result.get(), expected[q])) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& client : clients) client.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(EngineBackends, QuantizedDecodesTrackTheDenseModel) {
-  // Not bit-identity (int8 is lossy vs float32) but sanity: the quantized
-  // path must still be the same model, so decoded classes should mostly
-  // agree and confidences stay valid probabilities.
-  const auto& localizer = reference_localizer();
-  const PlanBackend quantized(localizer, PlanBackend::Precision::kInt8);
-  EXPECT_GT(quantized.plan()->stats().packed_bytes, 0u);
-  EXPECT_LT(quantized.plan()->stats().packed_bytes,
-            localizer.model().parameter_bytes());
-  const auto queries = query_pool(64);
-  ASSERT_FALSE(queries.empty());
-  const auto dense_fixes = localizer.locate_batch(queries);
-  const auto quant_fixes = quantized.locate_batch(queries);
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_GT(quant_fixes[i].confidence, 0.0);
-    EXPECT_LT(quant_fixes[i].confidence, 1.0);
-    if (quant_fixes[i].fine_class == dense_fixes[i].fine_class) ++agree;
-  }
-  // int8 with per-channel scales is a mild perturbation of small tanh nets;
-  // a majority-agreement floor keeps the test robust to substrate noise.
-  EXPECT_GE(agree * 2, queries.size());
+  const auto packs_for = [&](std::size_t workers) {
+    EngineConfig cfg;
+    cfg.workers = workers;
+    const std::uint64_t before = kernels::pack_operations();
+    const Engine engine(localizer, cfg);
+    return kernels::pack_operations() - before;
+  };
+  const std::uint64_t one_worker = packs_for(1);
+  EXPECT_GT(one_worker, 0u);
+  EXPECT_EQ(packs_for(4), one_worker) << "extra workers packed weights";
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +484,6 @@ class GatedBackend final : public WifiBackend {
     return inner_.locate_batch(queries);
   }
   std::size_t input_dim() const override { return inner_.input_dim(); }
-  std::string name() const override { return "gated-dense"; }
 
  private:
   PlanBackend inner_;

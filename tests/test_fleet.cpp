@@ -1,5 +1,5 @@
-// Fleet router tests: shard-keyed routing equivalence (fp32 and int8
-// shards), consistent kQueueFull fallback inside a shard, merged
+// Fleet router tests: shard-keyed routing equivalence, consistent
+// kQueueFull fallback inside a shard, merged
 // EngineStats/Histogram fleet views against pooled-sample ground truth, and
 // hot-swap semantics (new admissions serve the new model, invalidated
 // sessions).
@@ -16,7 +16,6 @@
 #include <future>
 #include <map>
 #include <random>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "core/experiment.h"
 #include "core/noble_imu.h"
 #include "core/noble_wifi.h"
-#include "engine/backend.h"
 #include "fleet/router.h"
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
@@ -185,28 +183,6 @@ TEST(Router, RoutedFixesBitIdenticalToDirectPerShard) {
   EXPECT_EQ(stats.shards.at("bldg-A").completed + stats.shards.at("bldg-B").completed,
             total_requests);
   EXPECT_EQ(stats.total.latency_us.count(), stats.total.completed);
-}
-
-TEST(Router, QuantizedShardMatchesDirectQuantizedInference) {
-  const auto queries = query_pool(32);
-  ASSERT_FALSE(queries.empty());
-  const engine::PlanBackend reference(localizer_a(),
-                                     serve::OptimizedNetwork::Precision::kInt8);
-  std::vector<serve::Fix> expected;
-  for (const auto& q : queries) {
-    expected.push_back(reference.locate_batch(std::span(&q, 1)).front());
-  }
-
-  Router router;
-  ShardConfig cfg = shard_config("bldg-Q");
-  cfg.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
-  ASSERT_TRUE(router.add_shard(cfg, localizer_a()));
-
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    engine::Submission s = router.submit("bldg-Q", queries[i]);
-    ASSERT_TRUE(s.accepted());
-    EXPECT_TRUE(fixes_identical(s.result.get(), expected[i])) << "query " << i;
-  }
 }
 
 TEST(Router, UnknownShardIsAnExplicitVerdict) {
@@ -499,37 +475,6 @@ TEST(RouterArtifacts, DigestsIdentifyModelsAcrossShardsSwapsAndStats) {
   for (const ShardDepths& depth : depths) {
     EXPECT_EQ(depth.engines.size(), depth.bulk.size());
     EXPECT_EQ(depth.engines.size(), 1u);
-  }
-}
-
-// An int8 shard answers differently from an fp32 shard of the same model,
-// so the two must never advertise one digest: a cross-node spill between
-// them would pass the digest guard and serve the other precision's fix.
-// fp32 keeps the bare model identity every rollout and spill compares.
-TEST(RouterArtifacts, Int8ShardDigestDiffersFromFp32ShardOfTheSameModel) {
-  Router router;
-  ShardConfig fp32 = shard_config("fp32");
-  ShardConfig int8 = shard_config("int8");
-  int8.engine.precision = serve::OptimizedNetwork::Precision::kInt8;
-  ASSERT_TRUE(router.add_shard(fp32, localizer_a()));
-  ASSERT_TRUE(router.add_shard(int8, localizer_a()));
-
-  std::map<std::string, std::uint64_t> digest;
-  for (const ShardArtifact& artifact : router.shard_artifacts()) {
-    digest[artifact.shard] = artifact.digest;
-  }
-  ASSERT_EQ(digest.size(), 2u);
-  EXPECT_EQ(digest.at("fp32"), localizer_a().artifact_digest());
-  EXPECT_NE(digest.at("int8"), 0u);
-  EXPECT_NE(digest.at("int8"), digest.at("fp32"));
-
-  // hot_swap re-derives the digest under the shard's own precision.
-  ASSERT_TRUE(router.hot_swap("int8", localizer_b()));
-  for (const ShardArtifact& artifact : router.shard_artifacts()) {
-    if (artifact.shard == "int8") {
-      EXPECT_NE(artifact.digest, localizer_b().artifact_digest());
-      EXPECT_NE(artifact.digest, digest.at("int8"));
-    }
   }
 }
 

@@ -697,6 +697,13 @@ TEST(GatewaySettle, TrackUpdateExpiringInItsSessionFifoIsAnswered) {
   EXPECT_EQ(reply->second.status, wire::Status::kDeadlineExpired);
 }
 
+/// One binary scrape over `client`, decoded; nullopt on any failure.
+std::optional<obs::MetricsSnapshot> binary_scrape(GatewayClient& client) {
+  const std::optional<std::string> bytes = client.stats_snapshot_bytes();
+  if (!bytes.has_value()) return std::nullopt;
+  return obs::decode_snapshot(*bytes);
+}
+
 TEST(GatewaySettle, CloseSessionAnswersEveryPendingUpdate) {
   LiveGateway gw;
   std::optional<GatewayClient> client =
@@ -740,6 +747,14 @@ TEST(GatewaySettle, CloseSessionAnswersEveryPendingUpdate) {
     serve::Fix fix;
     ASSERT_TRUE(wire::decode_fix_body(frame->body, status, fix));
     EXPECT_EQ(status, wire::Status::kStopped) << "a closed session's update fails";
+  }
+  // The scrape counts each failed update as closed, in total and per class.
+  const std::optional<obs::MetricsSnapshot> snap = binary_scrape(*client);
+  ASSERT_TRUE(snap.has_value());
+  for (const char* name : {"noble_fleet_closed", "noble_fleet_interactive_closed"}) {
+    const obs::MetricSample* closed_sample = snap->find(name);
+    ASSERT_NE(closed_sample, nullptr) << "missing: " << name;
+    EXPECT_EQ(closed_sample->counter_value, 3u) << name;
   }
 }
 
@@ -841,13 +856,6 @@ struct RestoreTracer {
   bool saved = obs::Tracer::global().enabled();
   ~RestoreTracer() { obs::Tracer::global().set_enabled(saved); }
 };
-
-/// One binary scrape over `client`, decoded; nullopt on any failure.
-std::optional<obs::MetricsSnapshot> binary_scrape(GatewayClient& client) {
-  const std::optional<std::string> bytes = client.stats_snapshot_bytes();
-  if (!bytes.has_value()) return std::nullopt;
-  return obs::decode_snapshot(*bytes);
-}
 
 // 32 traced locates, bracketed by binary scrapes of a quiet gateway: the
 // registry counts exactly the requests the client sent, every one leaves an

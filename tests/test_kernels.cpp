@@ -14,12 +14,10 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/fpmath.h"
 #include "common/rng.h"
-#include "core/quantize.h"
 #include "kernels/kernels.h"
 #include "linalg/matrix.h"
 #include "nn/activations.h"
@@ -180,27 +178,6 @@ TEST(KernelPacking, PackedDenseLayoutRoundTrips) {
   }
 }
 
-TEST(KernelPacking, PackedQuantizedLayoutRoundTrips) {
-  Rng rng(43);
-  const std::size_t in_dim = 31, out_dim = 17;
-  std::vector<std::int8_t> weights(in_dim * out_dim);
-  std::vector<float> scales(out_dim);
-  for (auto& v : weights) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  for (auto& s : scales) s = static_cast<float>(rng.uniform(0.001, 0.1));
-  QuantizedView view{weights.data(), scales.data(), in_dim, out_dim};
-  const PackedQuantized packed = pack_quantized(view);
-  EXPECT_EQ(packed.padded_in() % PackedQuantized::kKAlign, 0u);
-  EXPECT_GE(packed.padded_in(), in_dim);
-  for (std::size_t j = 0; j < out_dim; ++j) {
-    const std::int8_t* col = packed.column(j);
-    for (std::size_t k = 0; k < packed.padded_in(); ++k) {
-      const std::int8_t expected = k < in_dim ? weights[j * in_dim + k] : 0;
-      EXPECT_EQ(col[k], expected) << "col " << j << " lane " << k;
-    }
-    EXPECT_EQ(packed.scales()[j], scales[j]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // fp32 parity: scalar vs dispatched, packed vs unpacked, odd shapes,
 // all epilogues, zero rows.
@@ -314,124 +291,6 @@ TEST(KernelParityFp32, ZeroRowProducesExactlyTheEpilogueOfZero) {
 }
 
 // ---------------------------------------------------------------------------
-// int8 parity.
-// ---------------------------------------------------------------------------
-
-// Same split as the fp32 suite: packed vs unpacked everywhere, the
-// scalar-vs-AVX2 half (and a pass rather than a skip) only with AVX2.
-TEST(KernelParityInt8, ScalarVsAvx2BitIdenticalAcrossShapes) {
-  const bool avx2 = avx2_supported();
-  IsaGuard guard;
-  Rng rng(19);
-  std::size_t combo = 0;
-  for (const auto& [k, n, batches] : parity_cases()) {
-    std::vector<std::int8_t> weights(k * n);
-    std::vector<float> scales(n);
-    for (auto& v : weights) {
-      v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    }
-    for (auto& s : scales) s = static_cast<float>(rng.uniform(0.001, 0.1));
-    if (n > 1) scales[0] = 0.0f;  // an all-zero quantized column
-    std::vector<float> bias(n);
-    for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-    const QuantizedView view{weights.data(), scales.data(), k, n};
-    const PackedQuantized packed = pack_quantized(view);
-    const BnFold bn = random_bn_fold(n, rng);
-    for (const std::size_t m : batches) {
-      Epilogue ep;
-      ep.bias = bias.data();
-      ep.act = kActivations[combo % 4];
-      ep.bn = combo % 3 == 0 ? &bn : nullptr;
-      ++combo;
-      const Mat x = random_mat(m, k, rng, /*sparsity=*/0.3,
-                               /*zero_row=*/m >= 2 ? 0 : SIZE_MAX);
-      Mat y_scalar, y_avx2, yp_scalar, yp_avx2;
-      force_isa(Isa::kScalar);
-      quantized_forward(x, view, ep, y_scalar);
-      quantized_forward(x, packed, ep, yp_scalar);
-      EXPECT_TRUE(bitwise_equal(y_scalar, yp_scalar))
-          << "packed-vs-unpacked m=" << m << " k=" << k << " n=" << n;
-      if (!avx2) continue;
-      force_isa(Isa::kAvx2);
-      quantized_forward(x, view, ep, y_avx2);
-      quantized_forward(x, packed, ep, yp_avx2);
-      EXPECT_TRUE(bitwise_equal(y_scalar, y_avx2))
-          << "unpacked m=" << m << " k=" << k << " n=" << n;
-      EXPECT_TRUE(bitwise_equal(yp_scalar, yp_avx2))
-          << "packed m=" << m << " k=" << k << " n=" << n;
-    }
-  }
-  if (!avx2) GTEST_SKIP() << "AVX2 unavailable on this host";
-}
-
-QuantizedView unpacked_view(const core::QuantizedDense& layer) {
-  return QuantizedView{layer.weights.data(), layer.scales.data(), layer.in_dim,
-                       layer.out_dim};
-}
-
-Epilogue bias_epilogue(const core::QuantizedDense& layer) {
-  Epilogue ep;
-  ep.bias = layer.bias.data();
-  return ep;
-}
-
-TEST(KernelParityInt8, MatchesLegacyQuantizedDenseInfer) {
-  // The unpacked int8 kernel against the historical integer loop written
-  // out longhand: bitwise equality, zero row included.
-  IsaGuard guard;
-  Rng rng(23);
-  const std::size_t k = 33, n = 17, m = 6;
-  core::QuantizedDense layer;
-  layer.in_dim = k;
-  layer.out_dim = n;
-  layer.weights.resize(k * n);
-  layer.scales.resize(n);
-  layer.bias.resize(n);
-  for (auto& v : layer.weights) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  }
-  for (auto& s : layer.scales) s = static_cast<float>(rng.uniform(0.001, 0.1));
-  for (auto& b : layer.bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-  const Mat x = random_mat(m, k, rng, 0.3, /*zero_row=*/3);
-
-  Mat ref(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    float max_abs = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-      max_abs = std::max(max_abs, std::fabs(x(i, p)));
-    }
-    if (max_abs == 0.0f) {
-      for (std::size_t j = 0; j < n; ++j) ref(i, j) = layer.bias[j];
-      continue;
-    }
-    const float row_scale = max_abs / 127.0f;
-    const float inv = 127.0f / max_abs;
-    std::vector<std::int8_t> q(k);
-    for (std::size_t p = 0; p < k; ++p) {
-      const long r = std::lround(x(i, p) * inv);
-      q[p] = static_cast<std::int8_t>(r > 127 ? 127 : (r < -127 ? -127 : r));
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += static_cast<std::int32_t>(q[p]) *
-               static_cast<std::int32_t>(layer.weights[j * k + p]);
-      }
-      ref(i, j) = static_cast<float>(acc) * (row_scale * layer.scales[j]) +
-                  layer.bias[j];
-    }
-  }
-
-  for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
-    if (isa == Isa::kAvx2 && !avx2_supported()) continue;
-    force_isa(isa);
-    Mat y;
-    quantized_forward(x, unpacked_view(layer), bias_epilogue(layer), y);
-    EXPECT_TRUE(bitwise_equal(y, ref)) << isa_name(isa);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Load-time optimization: BN folding and activation fusion are exact.
 // ---------------------------------------------------------------------------
 
@@ -458,8 +317,7 @@ TEST(OptimizedNetworkSuite, Fp32PlanBitIdenticalToSequentialPredict) {
   IsaGuard guard;
   Rng rng(29);
   nn::Sequential net = trained_bn_network(24, 32, 19, rng);
-  const serve::OptimizedNetwork plan(net,
-                                     serve::OptimizedNetwork::Precision::kFloat32);
+  const serve::OptimizedNetwork plan(net);
   EXPECT_EQ(plan.stats().fused_dense, 3u);
   EXPECT_EQ(plan.stats().folded_batchnorm, 2u);
   EXPECT_EQ(plan.stats().fused_activations, 2u);
@@ -485,8 +343,7 @@ TEST(OptimizedNetworkSuite, Fp32PlanBitIdenticalAcrossIsas) {
   IsaGuard guard;
   Rng rng(31);
   nn::Sequential net = trained_bn_network(24, 32, 19, rng);
-  const serve::OptimizedNetwork plan(net,
-                                     serve::OptimizedNetwork::Precision::kFloat32);
+  const serve::OptimizedNetwork plan(net);
   for (const std::size_t m : kBatches) {
     const Mat x = random_mat(m, 24, rng, 0.3);
     force_isa(Isa::kScalar);
@@ -494,42 +351,6 @@ TEST(OptimizedNetworkSuite, Fp32PlanBitIdenticalAcrossIsas) {
     force_isa(Isa::kAvx2);
     const Mat y_avx2 = plan.predict(x);
     EXPECT_TRUE(bitwise_equal(y_scalar, y_avx2)) << "m=" << m;
-  }
-}
-
-/// The int8 oracle the packed plan must equal: layer by layer, every Dense
-/// quantized and run through the unpacked int8 kernel with its bias in the
-/// epilogue, every other layer through its own float Layer::infer.
-Mat int8_reference_predict(const nn::Sequential& net, const Mat& x) {
-  Mat cur = x, next;
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    if (const auto* dense = dynamic_cast<const nn::Dense*>(&net.layer(i))) {
-      const core::QuantizedDense q = core::quantize_dense(*dense);
-      quantized_forward(cur, unpacked_view(q), bias_epilogue(q), next);
-    } else {
-      net.layer(i).infer(cur, next);
-    }
-    std::swap(cur, next);
-  }
-  return cur;
-}
-
-TEST(OptimizedNetworkSuite, Int8PlanBitIdenticalToLayerwiseInt8Oracle) {
-  IsaGuard guard;
-  Rng rng(37);
-  nn::Sequential net = trained_bn_network(24, 32, 19, rng);
-  const serve::OptimizedNetwork plan(net,
-                                     serve::OptimizedNetwork::Precision::kInt8);
-  for (std::size_t m = 1; m <= 17; ++m) {
-    const Mat x = random_mat(m, 24, rng, 0.3, /*zero_row=*/m >= 2 ? 0 : SIZE_MAX);
-    for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
-      if (isa == Isa::kAvx2 && !avx2_supported()) continue;
-      force_isa(isa);
-      const Mat expected = int8_reference_predict(net, x);
-      const Mat actual = plan.predict(x);
-      EXPECT_TRUE(bitwise_equal(expected, actual))
-          << "m=" << m << " isa=" << isa_name(isa);
-    }
   }
 }
 
@@ -541,8 +362,7 @@ TEST(OptimizedNetworkSuite, DenseActivationFusionWithoutBnIsExact) {
   net.emplace<nn::Sigmoid>();
   net.emplace<nn::Dense>(20, 7, rng);
   net.emplace<nn::Tanh>();
-  const serve::OptimizedNetwork plan(net,
-                                     serve::OptimizedNetwork::Precision::kFloat32);
+  const serve::OptimizedNetwork plan(net);
   EXPECT_EQ(plan.stats().fused_dense, 2u);
   EXPECT_EQ(plan.stats().fused_activations, 2u);
   EXPECT_EQ(plan.stats().folded_batchnorm, 0u);
@@ -561,8 +381,7 @@ TEST(OptimizedNetworkSuite, UnrecognizedLeadingBatchNormPassesThrough) {
   for (int step = 0; step < 3; ++step) {
     net.forward(random_mat(8, 12, rng), /*training=*/true);
   }
-  const serve::OptimizedNetwork plan(net,
-                                     serve::OptimizedNetwork::Precision::kFloat32);
+  const serve::OptimizedNetwork plan(net);
   EXPECT_EQ(plan.stats().passthrough_layers, 1u);
   EXPECT_EQ(plan.stats().fused_dense, 1u);
   const Mat x = random_mat(6, 12, rng);

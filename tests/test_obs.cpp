@@ -22,7 +22,7 @@
 namespace noble::obs {
 namespace {
 
-// --- Counter / Gauge / HistogramMetric primitives ----------------------------
+// --- Counter / HistogramMetric primitives -----------------------------------
 
 TEST(ObsCounter, StripedIncrementsSumExactly) {
   Counter c;
@@ -53,15 +53,6 @@ TEST(ObsCounter, SubFromDifferentThreadStaysExact) {
   adder.join();
   subber.join();
   EXPECT_EQ(c.value(), kOps);
-}
-
-TEST(ObsGauge, SetAndAdd) {
-  Gauge g;
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  g.set(4.5);
-  EXPECT_DOUBLE_EQ(g.value(), 4.5);
-  g.add(-1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
 }
 
 TEST(ObsHistogramMetric, ConcurrentRecordsAllLand) {
@@ -147,20 +138,6 @@ TEST(ObsRegistry, SameNameAndLabelsReturnsSameInstrument) {
   ASSERT_NE(with, nullptr);
   EXPECT_EQ(bare->counter_value, 3u);
   EXPECT_EQ(with->counter_value, 5u);
-}
-
-TEST(ObsRegistry, CollectorsRunAfterInstruments) {
-  Registry reg;
-  reg.counter("noble_first").inc();
-  const std::uint64_t id = reg.add_collector(
-      [](MetricsSnapshot& out) { out.counter("noble_derived", 7); });
-  MetricsSnapshot snap = reg.collect();
-  ASSERT_EQ(snap.samples.size(), 2u);
-  EXPECT_EQ(snap.samples[0].name, "noble_first");
-  EXPECT_EQ(snap.samples[1].name, "noble_derived");
-  reg.remove_collector(id);
-  snap = reg.collect();
-  EXPECT_EQ(snap.samples.size(), 1u);
 }
 
 TEST(ObsRegistry, CollectDuringConcurrentIncrements) {

@@ -1,10 +1,6 @@
-// Timing gates: the three performance bars the serving stack promises, as
+// Timing gates: the two performance bars the serving stack promises, as
 // wall-clock comparisons inside one process.
 //
-//  - The AVX2 int8 kernel earns its keep: the packed int8 forward at the
-//    engine's typical micro-batch runs at least 2x faster than the scalar
-//    reference. Skipped when the dispatched ISA is not AVX2 (no AVX2 on the
-//    host, or NOBLE_KERNEL=scalar).
 //  - Tracing is cheap enough to leave on: a closed loop of interactive
 //    locates with every request traced keeps its p50 within 5% (plus a
 //    25 us floor) of tracing disabled.
@@ -31,14 +27,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "core/experiment.h"
 #include "core/noble_wifi.h"
 #include "engine/engine.h"
 #include "fleet/router.h"
-#include "kernels/kernels.h"
-#include "linalg/matrix.h"
 #include "obs/trace.h"
 #include "serve/wifi_localizer.h"
 
@@ -77,65 +70,6 @@ const SmokeUji& smoke_uji() {
     return new SmokeUji{serve::WifiLocalizer::from_model(model), std::move(queries)};
   }();
   return *smoke;
-}
-
-/// Seconds for the best of `repeats` timed runs of `iters` calls to fn.
-template <typename Fn>
-double best_seconds(int repeats, int iters, Fn&& fn) {
-  double best = 1e100;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    best = std::min(best, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  return best;
-}
-
-TEST(TimingGates, Avx2Int8PackedForwardIsAtLeastTwiceScalar) {
-  const kernels::Isa dispatched = kernels::active_isa();
-  if (dispatched != kernels::Isa::kAvx2) {
-    GTEST_SKIP() << "dispatched ISA is " << kernels::isa_name(dispatched)
-                 << ", not avx2";
-  }
-  struct IsaGuard {
-    ~IsaGuard() { kernels::force_isa(std::nullopt); }
-  } guard;
-
-  // 256x512 is near the serving model's hidden layers; batch 8 is the
-  // engine's typical micro-batch.
-  constexpr std::size_t k = 256, n = 512, batch = 8;
-  Rng rng(2021);
-  std::vector<std::int8_t> weights(k * n);
-  std::vector<float> scales(n);
-  std::vector<float> bias(n);
-  for (auto& v : weights) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  for (auto& s : scales) s = static_cast<float>(rng.uniform(0.001, 0.1));
-  for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-  const kernels::PackedQuantized packed =
-      kernels::pack_quantized(kernels::QuantizedView{weights.data(), scales.data(), k, n});
-  linalg::Mat x(batch, k);
-  for (std::size_t i = 0; i < batch; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      // ~30% exact zeros, like real RSSI feature rows.
-      if (!rng.bernoulli(0.3)) x(i, j) = static_cast<float>(rng.uniform(-1.5, 1.5));
-    }
-  }
-  // Bias-only epilogue: the activation epilogues are shared scalar code
-  // (the bit-identity contract) and would dilute the kernel speedup.
-  kernels::Epilogue ep;
-  ep.bias = bias.data();
-
-  constexpr int kRepeats = 3;
-  constexpr int kIters = 20;
-  linalg::Mat y;
-  kernels::force_isa(kernels::Isa::kScalar);
-  const double scalar_s = best_seconds(
-      kRepeats, kIters, [&] { kernels::quantized_forward(x, packed, ep, y); });
-  kernels::force_isa(dispatched);
-  const double avx2_s = best_seconds(
-      kRepeats, kIters, [&] { kernels::quantized_forward(x, packed, ep, y); });
-  EXPECT_GE(scalar_s / avx2_s, 2.0) << "scalar " << 1e6 * scalar_s / kIters << " us/it vs avx2 "
-                          << 1e6 * avx2_s / kIters << " us/it";
 }
 
 TEST(TimingGates, TracingKeepsP50WithinFivePercent) {
